@@ -1,0 +1,101 @@
+"""Golden behaviour fingerprint of a small bench + switch + sweep run.
+
+The integer fields of every run (evaluations used, first-hit counts on the
+target grid, termination reason, switch point) are hashed and compared with
+a committed digest; they survive last-bit floating-point differences, raw
+log bytes do not.  ``best_precision`` is compared with a relative tolerance.
+A change that moves the digest on purpose must say which records moved and
+why, and update the constants here.
+"""
+
+import hashlib
+import json
+import math
+
+import pytest
+
+from dynswitch.cli import main
+
+ALGORITHMS = "BFGS,CMA-ES,PSO,DE,MLSL"
+# every apply_warmstart branch: the four dedicated procedures, then the
+# generic transfer into each of the five algorithms
+SWITCH_PLANS = (
+    "BFGS:CMA-ES:1", "CMA-ES:BFGS:1", "MLSL:PSO:1", "MLSL:DE:1",
+    "MLSL:CMA-ES:1", "PSO:BFGS:1", "CMA-ES:MLSL:1", "DE:CMA-ES:1",
+    "DE:PSO:1", "PSO:DE:1",
+)
+SMALL = ("--instances", "1", "--runs", "2", "--budget-mult", "200")
+
+EXPECTED_DIGEST = (
+    "ca8e4797bb34258c5ce0546fdcccb55a6286bcff939a7ef49fadede18c85385e"
+)
+# sum over each log's runs of log10(best_precision)
+EXPECTED_LOG_PRECISION = {
+    "bench": -792.5061556585988,
+    "full": -271.44732491713177,
+    "point_only": -286.88543955081377,
+}
+
+
+def _run(*argv):
+    assert main([*argv, *SMALL]) == 0
+
+
+def _records(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def _rows(records):
+    return [[r["algorithm_label"], r["function_id"], r["dimension"],
+             r["instance"], r["run_index"], r["evals_used"],
+             [[repr(e), n] for e, n in r["hit_at"]], r["terminated_reason"],
+             r.get("switch_eval")] for r in records]
+
+
+def _log_precision(records):
+    return math.fsum(math.log10(max(r["best_precision"], 1e-300))
+                     for r in records)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fingerprint")
+    _run("bench", "--algorithms", ALGORITHMS, "--functions", "1,8,10",
+         "--dims", "2,5", "--out", str(out / "bench"))
+    for mode in ("full", "point_only"):
+        _run("switch", *(a for p in SWITCH_PLANS for a in ("--plan", p)),
+             "--functions", "1,8", "--dims", "2", "--warmstart-mode", mode,
+             "--out", str(out / mode))
+    _run("sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS", "--function", "10",
+         "--dim", "2", "--tau-exponents", "1,0,-1", "--out", str(out / "sweep"))
+    records = {name: _records(out / name / log) for name, log in (
+        ("bench", "runs.jsonl"), ("full", "switch_runs.jsonl"),
+        ("point_only", "switch_runs.jsonl"))}
+    with open(out / "sweep" / "sweep_runs.tsv") as fh:
+        sweep = [line.rstrip("\n").split("\t") for line in fh]
+    return records, sweep
+
+
+def test_every_switch_plan_switches(outputs):
+    records, _ = outputs
+    for mode in ("full", "point_only"):
+        switched = {r["algorithm_label"].split("@")[0]
+                    for r in records[mode] if r["switch_eval"] is not None}
+        assert switched == {p.rsplit(":", 1)[0].replace(":", ">")
+                            for p in SWITCH_PLANS}
+
+
+def test_fingerprint_digest(outputs):
+    records, sweep = outputs
+    payload = {name: _rows(recs) for name, recs in sorted(records.items())}
+    payload["sweep"] = sweep
+    text = json.dumps(payload, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == EXPECTED_DIGEST
+
+
+def test_fingerprint_best_precision(outputs):
+    records, _ = outputs
+    got = {name: _log_precision(recs) for name, recs in records.items()}
+    assert got == pytest.approx(EXPECTED_LOG_PRECISION, rel=1e-9)
