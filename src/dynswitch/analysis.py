@@ -38,28 +38,29 @@ def ert(runs, budget) -> float:
     return total / successes if successes else math.inf
 
 
-def _hits(rec) -> dict:
-    """hit_at as a dict, whether the record is parsed or fresh-serialized."""
-    hits = rec["hit_at"]
-    if isinstance(hits, dict):
-        return hits
-    return {float(e): int(n) for e, n in hits}
-
-
 def ert_curve(records, budget=None, grid: TargetGrid = DEFAULT_GRID) -> dict:
-    """Per grid exponent: (ert, successes, runs) pooled over the records."""
+    """Per grid exponent: (ert, successes, runs) pooled over the records.
+
+    Without an explicit ``budget`` the records must share one: runs from
+    experiments with different budgets are not comparable.
+    """
     if not records:
         raise ValueError("no records to aggregate")
-    records = [dict(rec, hit_at=_hits(rec)) for rec in records]
+    if budget is None:
+        budgets = sorted({rec["budget"] for rec in records})
+        if len(budgets) > 1:
+            first = records[0]
+            raise ValueError(
+                f"cannot pool {first['algorithm_label']} runs on "
+                f"F{first['function_id']} {first['dimension']}D with different "
+                f"budgets {budgets}"
+            )
+        budget = budgets[0]
     curve = {}
     for e in grid.exponents:
-        runs = []
-        for rec in records:
-            b = budget if budget is not None else rec["budget"]
-            hit = rec["hit_at"].get(e, math.inf)
-            runs.append((hit, min(rec["evals_used"], b)))
-        b = budget if budget is not None else max(r["budget"] for r in records)
-        value = ert(runs, b)
+        runs = [(rec["hit_at"].get(e, math.inf), min(rec["evals_used"], budget))
+                for rec in records]
+        value = ert(runs, budget)
         successes = sum(1 for h, _ in runs if math.isfinite(h))
         curve[e] = (value, successes, len(runs))
     return curve

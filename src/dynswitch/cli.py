@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
+import functools
 import json
 import math
 import sys
@@ -21,11 +21,12 @@ from .analysis import (
     build_vbs_reports,
     gains,
     heatmap_data,
+    theoretical_performance,
     use_case_table,
 )
 from .optimizers import OptimizerConfig, canonical_algorithm, run_single
 from .problems import IMPLEMENTED_FUNCTIONS, ProblemId, instantiate
-from .switching import SwitchPlan, run_switch, sweep_tau
+from .switching import SwitchPlan, cell_seed, run_switch, sweep_tau
 from .tracing import (
     DEFAULT_BUDGET_MULTIPLIER,
     DEFAULT_FINAL_TARGET,
@@ -37,13 +38,6 @@ from .warmstart import MODE_FULL, MODE_POINT_ONLY, WarmStartPolicy
 
 DEFAULT_ALGORITHMS = ("BFGS", "MLSL", "PSO", "CMA-ES", "DE")
 DEFAULT_DIMENSIONS = (2, 3, 5, 10, 20)
-
-
-def cell_seed(master: int, *parts) -> int:
-    """Stable per-cell seed from the master seed and the cell coordinates."""
-    text = "|".join([str(master), *map(str, parts)])
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 def _parse_int_list(text, valid=None, what="value"):
@@ -64,11 +58,19 @@ def _parse_int_list(text, valid=None, what="value"):
     return out
 
 
-def _load_config_overrides(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return {canonical_algorithm(name): dict(overrides)
-            for name, overrides in data.items()}
+def _optimizer_configs(args, algorithms):
+    """OptimizerConfig per algorithm, with the --config overrides applied."""
+    overrides = {}
+    if args.config:
+        with open(args.config) as fh:
+            overrides = {canonical_algorithm(name): dict(values)
+                         for name, values in json.load(fh).items()}
+    return {a: OptimizerConfig(a, overrides.get(a, {})) for a in algorithms}
+
+
+def _instances_and_runs(args):
+    """--quick means 3 runs on each of the first 2 instances."""
+    return (args.instances[:2], 3) if args.quick else (args.instances, args.runs)
 
 
 def _policy_from_args(args):
@@ -80,33 +82,49 @@ def _policy_from_args(args):
     )
 
 
-def _bench_cell(task):
+def _bench_cell(args, configs, cell):
     """Worker: one static run.  Top level so it pickles for the pool."""
-    (algorithm, overrides, function_id, dim, instance, run, budget_mult,
-     phi, master_seed, suite_seed) = task
-    problem = instantiate(ProblemId(function_id, dim, instance), suite_seed)
-    seed = cell_seed(master_seed, algorithm, function_id, dim, instance, run)
+    algorithm, function_id, dim, instance, run = cell
+    problem = instantiate(ProblemId(function_id, dim, instance), args.suite_seed)
     trace = run_single(
-        OptimizerConfig(algorithm, overrides), problem,
-        budget=budget_mult * dim, final_target=phi, seed=seed, run_index=run,
+        configs[algorithm], problem, budget=args.budget_mult * dim,
+        final_target=args.phi, seed=cell_seed(args.seed, *cell), run_index=run,
     )
     return trace.to_record()
 
 
-def _switch_cell(task):
+def _switch_cell(args, plans, cell):
     """Worker: one dynamic (switch) run."""
-    (a1, a2, tau, function_id, dim, instance, run, budget_mult, phi,
-     policy_kwargs, early_switch, master_seed, suite_seed) = task
-    problem = instantiate(ProblemId(function_id, dim, instance), suite_seed)
-    plan = SwitchPlan(
-        a1=OptimizerConfig(a1), a2=OptimizerConfig(a2), tau=tau, phi=phi,
-        policy=WarmStartPolicy(**policy_kwargs),
+    a1, a2, tau, function_id, dim, instance, run = cell
+    problem = instantiate(ProblemId(function_id, dim, instance), args.suite_seed)
+    st = run_switch(
+        plans[a1, a2, tau], problem, budget=args.budget_mult * dim,
+        seed=cell_seed(args.seed, "switch", *cell), run_index=run,
+        early_switch=not args.no_early_switch,
     )
-    seed = cell_seed(master_seed, "switch", a1, a2, tau, function_id, dim,
-                     instance, run)
-    st = run_switch(plan, problem, budget=budget_mult * dim, seed=seed,
-                    run_index=run, early_switch=early_switch)
     return st.to_record()
+
+
+def run_tasks(worker, tasks, jobs):
+    """Apply ``worker`` to every task, in a process pool when ``jobs > 1``.
+
+    Returns (results, failures); a task that raises is reported as
+    (task, message) and the batch continues.
+    """
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {pool.submit(worker, t): t for t in tasks}
+            calls = [(futures[fut], fut.result)
+                     for fut in concurrent.futures.as_completed(futures)]
+    else:
+        calls = [(t, functools.partial(worker, t)) for t in tasks]
+    results, failures = [], []
+    for task, call in calls:
+        try:
+            results.append(call())
+        except Exception as exc:  # cell failure; batch continues
+            failures.append((task, str(exc)))
+    return results, failures
 
 
 def _write_records(path, records):
@@ -121,6 +139,11 @@ def _write_records(path, records):
             fh.write(record_to_json(rec) + "\n")
 
 
+def _report_failures(failures):
+    for cell, message in failures:
+        print(f"FAILED {cell}: {message}", file=sys.stderr)
+
+
 def _write_manifest(outdir, args, extra=None):
     settings = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     settings["version"] = __version__
@@ -133,36 +156,13 @@ def _write_manifest(outdir, args, extra=None):
 def cmd_bench(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = 3 if args.quick else args.runs
-    instances = args.instances[:2] if args.quick else args.instances
-    overrides = _load_config_overrides(args.config) if args.config else {}
-    tasks = []
-    failures = []
-    for algorithm in args.algorithms:
-        for f in args.functions:
-            for d in args.dims:
-                for inst in instances:
-                    for run in range(runs):
-                        tasks.append((
-                            algorithm, overrides.get(algorithm, {}), f, d,
-                            inst, run, args.budget_mult, args.phi, args.seed,
-                            args.suite_seed,
-                        ))
-    records = []
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_bench_cell, t): t for t in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                try:
-                    records.append(fut.result())
-                except Exception as exc:  # cell failure; batch continues
-                    failures.append((futures[fut][:6], str(exc)))
-    else:
-        for t in tasks:
-            try:
-                records.append(_bench_cell(t))
-            except Exception as exc:
-                failures.append((t[:6], str(exc)))
+    instances, runs = _instances_and_runs(args)
+    cells = [(a, f, d, inst, run) for a in args.algorithms
+             for f in args.functions for d in args.dims
+             for inst in instances for run in range(runs)]
+    worker = functools.partial(_bench_cell, args,
+                               _optimizer_configs(args, args.algorithms))
+    records, failures = run_tasks(worker, cells, args.jobs)
     _write_records(outdir / "runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
 
@@ -176,14 +176,9 @@ def cmd_bench(args):
             cell[0] += 1
     for (label, f, d), (succ, total) in sorted(summary.items()):
         print(f"{label:8s} F{f:<3d} {d:>2d}D  {succ}/{total} successes")
-    for cell, message in failures:
-        print(f"FAILED {cell}: {message}", file=sys.stderr)
+    _report_failures(failures)
     print(f"wrote {len(records)} records to {outdir / 'runs.jsonl'}")
     return 2 if failures else 0
-
-
-def _phi_exponent(phi):
-    return DEFAULT_GRID.snap_exponent(phi)
 
 
 def _write_table(path, header, rows):
@@ -193,23 +188,36 @@ def _write_table(path, header, rows):
             fh.write("\t".join(str(v) for v in row) + "\n")
 
 
-def cmd_analyze(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    log_path = Path(args.logs)
-    if log_path.is_dir():
-        log_path = log_path / "runs.jsonl"
+def resolve_log(path):
+    """Path of a run log given as a file or as the bench directory holding it."""
+    path = Path(path)
+    return path / "runs.jsonl" if path.is_dir() else path
+
+
+def _read_log(path):
+    """Records of the run log at ``path``; None, with the reason on stderr,
+    when it is missing or holds no parseable record."""
+    log_path = resolve_log(path)
     if not log_path.exists():
         print(f"no run log at {log_path}", file=sys.stderr)
-        return 1
+        return None
     records, skipped = load_records(log_path)
     if skipped:
         print(f"warning: skipped {skipped} malformed log lines", file=sys.stderr)
     if not records:
         print("zero parseable log records", file=sys.stderr)
+        return None
+    return records
+
+
+def cmd_analyze(args):
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    records = _read_log(args.logs)
+    if records is None:
         return 1
     tables = build_ert_tables(records)
-    phi_exp = _phi_exponent(args.phi)
+    phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     rows = []
     for (label, f, d), curve in sorted(tables.items()):
         for e in DEFAULT_GRID.exponents:
@@ -262,8 +270,7 @@ def _parse_plan(text):
 def cmd_switch(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    policy = _policy_from_args(args)
-    plans = [(_parse_plan(p)) for p in (args.plan or [])]
+    plans = [_parse_plan(p) for p in (args.plan or [])]
     plan_cells = []  # (a1, a2, tau, f, d)
     if args.from_analysis:
         vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
@@ -293,61 +300,33 @@ def cmd_switch(args):
         print("nothing to execute: give --plan or --from-analysis",
               file=sys.stderr)
         return 1
+    # the static log is read before any run, so a bad path fails at once
+    static_tables = None
+    if args.logs:
+        static_records = _read_log(args.logs)
+        if static_records is None:
+            return 1
+        static_tables = build_ert_tables(static_records)
 
-    runs = 3 if args.quick else args.runs
-    instances = args.instances[:2] if args.quick else args.instances
-    policy_kwargs = {
-        "mode": policy.mode,
-        "step_size_window": policy.step_size_window,
-        "hyperbox_radius": policy.hyperbox_radius,
-        "hessian_scale": policy.hessian_scale,
+    configs = _optimizer_configs(
+        args, {a for a1, a2, *_ in plan_cells for a in (a1, a2)})
+    policy = _policy_from_args(args)
+    switch_plans = {
+        (a1, a2, tau): SwitchPlan(a1=configs[a1], a2=configs[a2], tau=tau,
+                                  phi=args.phi, policy=policy)
+        for a1, a2, tau, _, _ in plan_cells
     }
-    tasks = []
-    for a1, a2, tau, f, d in plan_cells:
-        for inst in instances:
-            for run in range(runs):
-                tasks.append((a1, a2, tau, f, d, inst, run, args.budget_mult,
-                              args.phi, policy_kwargs,
-                              not args.no_early_switch, args.seed,
-                              args.suite_seed))
-    failures = []
-    records = []
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(_switch_cell, t): t for t in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                try:
-                    records.append(fut.result())
-                except Exception as exc:
-                    failures.append((futures[fut][:7], str(exc)))
-    else:
-        for t in tasks:
-            try:
-                records.append(_switch_cell(t))
-            except Exception as exc:
-                failures.append((t[:7], str(exc)))
+    instances, runs = _instances_and_runs(args)
+    cells = [(a1, a2, tau, f, d, inst, run)
+             for a1, a2, tau, f, d in plan_cells
+             for inst in instances for run in range(runs)]
+    worker = functools.partial(_switch_cell, args, switch_plans)
+    records, failures = run_tasks(worker, cells, args.jobs)
     _write_records(outdir / "switch_runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
 
     # actual-vs-theoretical report, one row per executed plan cell
-    phi_exp = _phi_exponent(args.phi)
-    static_tables = None
-    if args.from_analysis:
-        base_log = Path(args.from_analysis)
-        runs_log = base_log / "runs.jsonl"
-        if not runs_log.exists() and args.logs:
-            runs_log = Path(args.logs)
-        if runs_log.exists():
-            static_records, _ = load_records(runs_log)
-            static_tables = build_ert_tables(static_records)
-    elif args.logs:
-        runs_log = Path(args.logs)
-        if runs_log.is_dir():
-            runs_log = runs_log / "runs.jsonl"
-        if runs_log.exists():
-            static_records, _ = load_records(runs_log)
-            static_tables = build_ert_tables(static_records)
-
+    phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     switch_tables = build_ert_tables(records)
     rows = []
     for a1, a2, tau, f, d in plan_cells:
@@ -361,8 +340,6 @@ def cmd_switch(args):
             if cell:
                 static_val = min(c[phi_exp][0] for c in cell.values())
                 if a1 in cell and a2 in cell:
-                    from .analysis import theoretical_performance
-
                     theoretical = theoretical_performance(
                         cell[a1], cell[a2],
                         DEFAULT_GRID.snap_exponent(tau), phi_exp,
@@ -377,8 +354,7 @@ def cmd_switch(args):
                   "static_ert", "theoretical_ert", "actual_ert",
                   "theoretical_gain", "actual_gain", "actual_vs_theoretical"],
                  rows)
-    for cell, message in failures:
-        print(f"FAILED {cell}: {message}", file=sys.stderr)
+    _report_failures(failures)
     print(f"executed {len(records)} switch runs -> {outdir}")
     return 2 if failures else 0
 
@@ -386,19 +362,20 @@ def cmd_switch(args):
 def cmd_sweep_tau(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    a1, a2, _ = _parse_plan(f"{args.a1}:{args.a2}:1")
+    a1, a2 = canonical_algorithm(args.a1), canonical_algorithm(args.a2)
+    configs = _optimizer_configs(args, (a1, a2))
     if args.tau_exponents:
         exps = [float(x) for x in args.tau_exponents.split(",")]
     else:
-        exps = [e for e in DEFAULT_GRID.exponents if e > _phi_exponent(args.phi)]
-    instances = args.instances[:2] if args.quick else args.instances
-    runs = 3 if args.quick else args.runs
+        phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
+        exps = [e for e in DEFAULT_GRID.exponents if e > phi_exp]
+    instances, runs = _instances_and_runs(args)
     problems = [
         instantiate(ProblemId(args.function, args.dim, i), args.suite_seed)
         for i in instances
     ]
     rows, summary = sweep_tau(
-        OptimizerConfig(a1), OptimizerConfig(a2), problems, exps,
+        configs[a1], configs[a2], problems, exps,
         runs_per_instance=runs, phi=args.phi,
         budget=args.budget_mult * args.dim, seed=args.seed,
         policy=_policy_from_args(args),
@@ -483,7 +460,7 @@ def build_parser():
     p.add_argument("--plan", action="append",
                    help="A1:A2:TAU, repeatable")
     p.add_argument("--from-analysis",
-                   help="directory with vbs_report.tsv (and runs.jsonl)")
+                   help="directory with vbs_report.tsv")
     p.add_argument("--logs", help="static run log for the comparison report")
     p.add_argument("--functions",
                    type=lambda s: _parse_int_list(s, IMPLEMENTED_FUNCTIONS,

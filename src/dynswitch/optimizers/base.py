@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..problems import DOMAIN_HIGH, DOMAIN_LOW
-
 
 class Optimizer:
     name = "base"
@@ -23,6 +21,3 @@ class Optimizer:
 
     def step(self, ev):
         raise NotImplementedError
-
-    def clip_to_box(self, x):
-        return np.clip(x, DOMAIN_LOW, DOMAIN_HIGH)

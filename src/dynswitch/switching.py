@@ -9,6 +9,7 @@ strict no-switch semantics.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,13 @@ from .tracing import (
 from .warmstart import WarmStartPolicy, apply_warmstart, extract
 
 A2_SEED_SALT = 0x5EC0
+
+
+def cell_seed(*parts) -> int:
+    """Stable per-cell seed from the master seed and the cell coordinates."""
+    text = "|".join(map(str, parts))
+    digest = hashlib.sha256(text.encode()).digest()
+    return int.from_bytes(digest[:8], "little")
 
 
 @dataclass(frozen=True)
@@ -148,15 +156,16 @@ def sweep_tau(
         if not tau > phi:
             raise ValueError(f"sweep tau {tau} must exceed phi {phi}")
         plan = SwitchPlan(a1=a1, a2=a2, tau=tau, phi=phi, policy=policy)
+        key = round(float(tau_exp), 10)
         for problem in problems:
             for run in range(runs_per_instance):
-                run_seed = _sweep_seed(seed, tau_exp, problem.id.instance, run)
+                run_seed = cell_seed("sweep", seed, key, problem.id.instance, run)
                 st = run_switch(plan, problem, budget=budget, seed=run_seed,
                                 run_index=run, early_switch=early_switch,
                                 grid=grid)
                 hit = st.trace.hitting_time(phi, grid)
                 rows.append({
-                    "tau_exponent": round(float(tau_exp), 10),
+                    "tau_exponent": key,
                     "instance": problem.id.instance,
                     "run_index": run,
                     "hit_phi": hit,
@@ -177,12 +186,3 @@ def sweep_tau(
             "runs": len(cell),
         })
     return rows, summary
-
-
-def _sweep_seed(master, tau_exp, instance, run):
-    import hashlib
-
-    digest = hashlib.sha256(
-        f"sweep|{master}|{round(float(tau_exp), 10)}|{instance}|{run}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "little")

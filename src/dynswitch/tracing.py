@@ -110,16 +110,19 @@ class RunTrace:
             "evals_used": self.evals_used,
             "best_precision": self.best_precision,
             "terminated_reason": self.terminated_reason,
-            "hit_at": sorted(
-                ((e, n) for e, n in self.hit_at.items()), reverse=True
-            ),
+            "hit_at": dict(self.hit_at),
         }
         return rec
 
 
 def record_to_json(rec: dict) -> str:
-    """Canonical single-line serialization (the producer/consumer contract)."""
-    return json.dumps(rec, sort_keys=True, allow_nan=True)
+    """Canonical single-line serialization (the producer/consumer contract).
+
+    ``hit_at`` is written as (exponent, count) pairs, exponents descending;
+    :func:`parse_record` turns them back into a dict.
+    """
+    pairs = sorted(rec["hit_at"].items(), reverse=True)
+    return json.dumps(dict(rec, hit_at=pairs), sort_keys=True, allow_nan=True)
 
 
 def parse_record(line: str) -> dict:

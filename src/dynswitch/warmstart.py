@@ -16,6 +16,8 @@ import numpy as np
 
 from .linalg import repair_spd
 from .optimizers import Bfgs, Cmaes, De, Mlsl, Pso
+from .optimizers.de import POPULATION_MULTIPLIER
+from .optimizers.pso import SWARM_SIZE
 from .problems import DOMAIN_HIGH, DOMAIN_LOW
 
 log = logging.getLogger(__name__)
@@ -149,31 +151,30 @@ def warmstart_bfgs_from_cmaes(ws: WarmStartState, policy: WarmStartPolicy,
     return Bfgs(ws.best_point.size, rng, x0=ws.best_point.copy(), inv_hessian=h0)
 
 
-def _hyperbox_population(ws, policy, rng, size, dim):
+def _hyperbox_sample(ws, policy, rng, n):
+    """``n`` uniform points in the eta-box around the best point."""
     low = np.clip(ws.best_point - policy.hyperbox_radius, DOMAIN_LOW, DOMAIN_HIGH)
     high = np.clip(ws.best_point + policy.hyperbox_radius, DOMAIN_LOW, DOMAIN_HIGH)
-    pop = rng.uniform(low, high, size=(size, dim))
-    pop[0] = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
-    return pop
+    return rng.uniform(low, high, size=(n, ws.best_point.size))
+
+
+def _population_size(target, dim):
+    return SWARM_SIZE if target == "PSO" else POPULATION_MULTIPLIER * dim
 
 
 def warmstart_population_from_mlsl(ws: WarmStartState, policy: WarmStartPolicy,
-                                   target: str, rng, budget=None):
+                                   target: str, rng):
     """Seed a PSO swarm or DE population in the hyperbox around the best point."""
+    if target not in ("PSO", "DE"):
+        raise ValueError(f"unsupported hyperbox target {target!r}")
     dim = ws.best_point.size
-    eta = policy.hyperbox_radius
-    if target == "PSO":
-        from .optimizers.pso import SWARM_SIZE
-
-        positions = _hyperbox_population(ws, policy, rng, SWARM_SIZE, dim)
-        velocities = rng.uniform(-eta, eta, size=(SWARM_SIZE, dim))
-        return Pso(dim, rng, positions=positions, velocities=velocities)
+    pop = _hyperbox_sample(ws, policy, rng, _population_size(target, dim))
+    pop[0] = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
     if target == "DE":
-        from .optimizers.de import POPULATION_MULTIPLIER
-
-        pop = _hyperbox_population(ws, policy, rng, POPULATION_MULTIPLIER * dim, dim)
         return De(dim, rng, population=pop)
-    raise ValueError(f"unsupported hyperbox target {target!r}")
+    eta = policy.hyperbox_radius
+    velocities = rng.uniform(-eta, eta, size=pop.shape)
+    return Pso(dim, rng, positions=pop, velocities=velocities)
 
 
 def warmstart_cmaes_from_mlsl(ws: WarmStartState, rng) -> Cmaes:
@@ -204,39 +205,21 @@ def warmstart_generic(ws: WarmStartState, target: str,
                 sigma = 0.5 * spread
         return Cmaes(dim, rng, mean=ws.best_point.copy(), sigma=sigma)
     if target in ("PSO", "DE"):
-        from .optimizers.de import POPULATION_MULTIPLIER
-        from .optimizers.pso import SWARM_SIZE
-
-        size = SWARM_SIZE if target == "PSO" else POPULATION_MULTIPLIER * dim
-        if ws.population:
-            ranked = sorted(ws.population, key=lambda pf: pf[1])[:size]
-            carried = np.array([p for p, _ in ranked])
-            n_carried = carried.shape[0]
-        else:
-            carried = np.empty((0, dim))
-            n_carried = 0
-        if n_carried < size:
-            low = np.clip(ws.best_point - policy.hyperbox_radius,
-                          DOMAIN_LOW, DOMAIN_HIGH)
-            high = np.clip(ws.best_point + policy.hyperbox_radius,
-                           DOMAIN_LOW, DOMAIN_HIGH)
-            pad = rng.uniform(low, high, size=(size - n_carried, dim))
-            positions = np.vstack([carried, pad])
-        else:
-            positions = carried
-        positions = np.clip(positions, DOMAIN_LOW, DOMAIN_HIGH)
+        size = _population_size(target, dim)
+        ranked = sorted(ws.population or [], key=lambda pf: pf[1])[:size]
+        n_carried = len(ranked)
+        carried = np.array([p for p, _ in ranked]).reshape(n_carried, dim)
+        pad = _hyperbox_sample(ws, policy, rng, size - n_carried)
+        positions = np.clip(np.vstack([carried, pad]), DOMAIN_LOW, DOMAIN_HIGH)
         # make sure the best point itself is present
         best_clipped = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
         if not np.any(np.all(positions == best_clipped[None, :], axis=1)):
             positions[-1] = best_clipped
         if target == "DE":
             return De(dim, rng, population=positions)
+        eta = policy.hyperbox_radius
         velocities = np.zeros_like(positions)
-        if n_carried < positions.shape[0]:
-            eta = policy.hyperbox_radius
-            velocities[n_carried:] = rng.uniform(
-                -eta, eta, size=(positions.shape[0] - n_carried, dim)
-            )
+        velocities[n_carried:] = rng.uniform(-eta, eta, size=pad.shape)
         return Pso(dim, rng, positions=positions, velocities=velocities)
     raise ValueError(f"unsupported warm-start target {target!r}")
 
@@ -249,7 +232,7 @@ def apply_warmstart(ws: WarmStartState, source: str, target: str,
     if source == "CMA-ES" and target == "BFGS":
         return warmstart_bfgs_from_cmaes(ws, policy, rng)
     if source == "MLSL" and target in ("PSO", "DE"):
-        return warmstart_population_from_mlsl(ws, policy, target, rng, budget=budget)
+        return warmstart_population_from_mlsl(ws, policy, target, rng)
     if source == "MLSL" and target == "CMA-ES":
         return warmstart_cmaes_from_mlsl(ws, rng)
     return warmstart_generic(ws, target, policy, rng, budget=budget)

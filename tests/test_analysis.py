@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -20,7 +21,7 @@ from dynswitch.analysis import (
     use_case_table,
     vbs_dyn,
 )
-from dynswitch.tracing import DEFAULT_GRID
+from dynswitch.tracing import DEFAULT_GRID, parse_record, record_to_json
 
 
 def test_ert_worked_examples():
@@ -125,10 +126,25 @@ def test_build_ert_tables_grouping():
     assert tables[("A", 1, 2)][2.0] == (6.0, 2, 2)
 
 
-def test_hit_at_accepts_serialized_pair_form():
-    rec = make_record("A", 1, 2, [[2.0, 5], [0.0, 50]], 100)
-    curve = ert_curve([rec], budget=1000)
+def test_ert_curve_reads_parsed_pair_form():
+    # logs hold hit_at as pairs; parse_record turns them back into the dict
+    rec = make_record("A", 1, 2, {2.0: 5, 0.0: 50}, 100)
+    line = record_to_json(rec)
+    assert json.loads(line)["hit_at"] == [[2.0, 5], [0.0, 50]]
+    curve = ert_curve([parse_record(line)], budget=1000)
     assert curve[0.0] == (50.0, 1, 1)
+
+
+def test_ert_tables_refuse_to_pool_mixed_budgets():
+    recs = [make_record("A", 1, 2, {2.0: 5}, 100, budget=1000),
+            make_record("A", 1, 2, {2.0: 7}, 100, budget=2000)]
+    with pytest.raises(ValueError, match="different budgets"):
+        build_ert_tables(recs)
+    # an explicit budget states the comparison, so pooling is allowed
+    assert build_ert_tables(recs, budget=2000)[("A", 1, 2)][2.0] == (6.0, 2, 2)
+    # groups that differ in budget but not in (label, f, d) stay apart
+    other = make_record("A", 8, 2, {2.0: 7}, 100, budget=2000)
+    assert set(build_ert_tables([recs[0], other])) == {("A", 1, 2), ("A", 8, 2)}
 
 
 def constant_curve(value):

@@ -130,11 +130,13 @@ def test_switch_plan_execution_and_report(bench_dir, tmp_path):
     assert row["theoretical_ert"] != ""
 
 
-def test_switch_from_analysis(bench_dir, analysis_dir, tmp_path):
-    # copy runs.jsonl next to the analysis artifacts so the report can
-    # recover the static tables
-    (analysis_dir / "runs.jsonl").write_bytes(
-        (bench_dir / "runs.jsonl").read_bytes())
+def _report_rows(path):
+    lines = path.read_text().strip().split("\n")
+    header = lines[0].split("\t")
+    return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+
+
+def test_switch_from_analysis(analysis_dir, tmp_path):
     out = tmp_path / "switch2"
     code = main([
         "switch", "--from-analysis", str(analysis_dir), "--quick",
@@ -146,6 +148,47 @@ def test_switch_from_analysis(bench_dir, analysis_dir, tmp_path):
         assert (out / "switch_report.tsv").exists()
     else:
         assert code == 1
+
+
+def test_switch_from_analysis_reads_static_log_directory(
+        bench_dir, analysis_dir, tmp_path):
+    rows = _report_rows(analysis_dir / "vbs_report.tsv")
+    assert any(r["dyn_a1"] != r["dyn_a2"] for r in rows)  # something to run
+    out = tmp_path / "switch3"
+    code = main([
+        "switch", "--from-analysis", str(analysis_dir), "--logs",
+        str(bench_dir), "--quick", "--budget-mult", "2000", "--out", str(out),
+    ])
+    assert code == 0
+    report = _report_rows(out / "switch_report.tsv")
+    assert report and all(r["static_ert"] != "" for r in report)
+
+
+def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
+    out = tmp_path / "switch4"
+    code = main([
+        "switch", "--plan", "BFGS:CMA-ES:1e-2", "--functions", "1",
+        "--dims", "2", "--quick", "--budget-mult", "2000",
+        "--logs", str(tmp_path / "missing"), "--out", str(out),
+    ])
+    assert code == 1
+    assert "no run log" in capsys.readouterr().err
+    assert not (out / "switch_runs.jsonl").exists()
+
+
+def test_analyze_refuses_mixed_budgets(bench_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert main([
+        "bench", "--algorithms", "BFGS", "--functions", "1", "--dims", "2",
+        "--runs", "1", "--instances", "1", "--budget-mult", "500",
+        "--out", str(other),
+    ]) == 0
+    log = tmp_path / "mixed.jsonl"
+    log.write_text((bench_dir / "runs.jsonl").read_text()
+                   + (other / "runs.jsonl").read_text())
+    assert main(["analyze", "--logs", str(log), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert "different budgets" in capsys.readouterr().err
 
 
 def test_sweep_tau_artifacts(tmp_path):
@@ -177,3 +220,22 @@ def test_config_overrides_are_applied(tmp_path):
     # with lambda forced to 12 and budget 200, evaluation counts are
     # multiples of 12 until interruption
     assert records[0]["evals_used"] > 0
+
+
+@pytest.mark.parametrize("command", [
+    ["switch", "--plan", "CMA-ES:BFGS:1e-1", "--functions", "10",
+     "--dims", "2"],
+    ["sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS", "--function", "10",
+     "--dim", "2", "--tau-exponents", "0.0"],
+])
+def test_config_overrides_reach_switch_runs(command, tmp_path):
+    cfg = tmp_path / "overrides.json"
+    cfg.write_text(json.dumps({"CMA-ES": {"population_size": 12}}))
+    small = ["--runs", "2", "--instances", "1", "--budget-mult", "200"]
+    outputs = []
+    for name, extra in (("plain", []), ("cfg", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main([*command, *small, *extra, "--out", str(out)]) == 0
+        log = "switch_runs.jsonl" if command[0] == "switch" else "sweep_runs.tsv"
+        outputs.append((out / log).read_text())
+    assert outputs[0] != outputs[1]
