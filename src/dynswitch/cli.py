@@ -306,6 +306,19 @@ def cmd_switch(args):
         static_records = _read_log(args.logs)
         if static_records is None:
             return 1
+        # static and actual ERT are only comparable at the same budget
+        planned = {(f, d) for *_, f, d in plan_cells}
+        mismatched = sorted(
+            (r["function_id"], r["dimension"], r["budget"])
+            for r in static_records
+            if (r["function_id"], r["dimension"]) in planned
+            and r["budget"] != args.budget_mult * r["dimension"])
+        if mismatched:
+            f, d, budget = mismatched[0]
+            print(f"static log has budget {budget} for F{f} {d}D, but "
+                  f"--budget-mult {args.budget_mult} gives "
+                  f"{args.budget_mult * d}", file=sys.stderr)
+            return 1
         static_tables = build_ert_tables(static_records)
 
     configs = _optimizer_configs(

@@ -11,6 +11,7 @@ suite is not a goal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,28 +49,83 @@ class ProblemId:
         return f"F{self.function_id}_{self.dimension}D_i{self.instance}"
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+# (c1, c2) of the oscillation transform, row 0 for x <= 0 and row 1 for x > 0
+_OSCILLATION_C = _read_only(np.array([[5.5, 3.1], [10.0, 7.9]]))
+
+
 def _oscillation(x):
-    """Coordinate-wise oscillation transform used by several suite functions."""
-    x = np.asarray(x, dtype=float)
-    xhat = np.where(x != 0.0, np.log(np.abs(np.where(x != 0.0, x, 1.0))), 0.0)
-    c1 = np.where(x > 0.0, 10.0, 5.5)
-    c2 = np.where(x > 0.0, 7.9, 3.1)
-    return np.sign(x) * np.exp(xhat + 0.049 * (np.sin(c1 * xhat) + np.sin(c2 * xhat)))
+    """Coordinate-wise oscillation transform used by several suite functions.
+
+    ``x`` is a float vector; returns a new vector.
+    """
+    ax = np.abs(x)
+    nonzero = np.count_nonzero(ax) == ax.size
+    # log(1) = 0 exactly, so a zero coordinate gets xhat = 0
+    xhat = np.log(ax if nonzero else np.where(x != 0.0, ax, 1.0))
+    t = _OSCILLATION_C.take(x > 0.0, 0)     # (d, 2): c1, c2 per coordinate
+    t *= xhat[:, None]
+    np.sin(t, out=t)
+    s = np.add.reduce(t, axis=1)            # sin(c1 xhat) + sin(c2 xhat)
+    s *= 0.049
+    s += xhat
+    np.exp(s, out=s)
+    if nonzero:
+        return np.copysign(s, x, out=s)     # sign(x) * s, as sign(x) is +-1
+    s *= np.sign(x)
+    return s
+
+
+def _oscillation_scalar(v):
+    """The oscillation transform of one float; returns a numpy float64.
+
+    Uses the same numpy ufuncs as the vector form, so both agree bit for bit.
+    """
+    if v == 0.0:
+        return np.sign(v)
+    xhat = np.log(abs(v))
+    c1, c2 = (10.0, 7.9) if v > 0.0 else (5.5, 3.1)
+    e = np.exp(xhat + 0.049 * (np.sin(c1 * xhat) + np.sin(c2 * xhat)))
+    return e if v > 0.0 else -e
+
+
+@functools.lru_cache(maxsize=None)
+def _asymmetry_ramp(d, beta):
+    return _read_only(beta * (np.arange(d) / max(d - 1, 1)))
 
 
 def _asymmetry(x, beta):
     """Coordinate-wise asymmetry transform; identity for non-positive entries."""
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    idx = np.arange(d) / max(d - 1, 1)
-    expo = 1.0 + beta * idx * np.sqrt(np.maximum(x, 0.0))
-    return np.where(x > 0.0, np.power(np.maximum(x, 0.0), expo), x)
+    xp = np.maximum(x, 0.0)
+    expo = _asymmetry_ramp(x.size, beta) * np.sqrt(xp)
+    expo += 1.0
+    return np.where(x > 0.0, np.power(xp, expo), x)
 
 
+@functools.lru_cache(maxsize=None)
 def _power_weights(d, condition):
     """diag entries of the conditioning matrix Lambda^alpha."""
     idx = np.arange(d) / max(d - 1, 1)
-    return np.power(condition, 0.5 * idx)
+    return _read_only(np.power(condition, 0.5 * idx))
+
+
+@functools.lru_cache(maxsize=None)
+def _ellipsoid_weights(d):
+    return _read_only(np.power(10.0, 6.0 * np.arange(d) / max(d - 1, 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _different_powers_exponents(d):
+    return _read_only(2.0 + 4.0 * np.arange(d) / max(d - 1, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _rosenbrock_scale(d):
+    return max(1.0, np.sqrt(d) / 8.0)
 
 
 def _random_rotation(rng, d):
@@ -96,17 +152,22 @@ class ProblemInstance:
     rotation_Q: np.ndarray
     peaks: dict | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        # bound once so that evaluate does no lookups beyond its own
+        object.__setattr__(self, "_kernel", _EVALUATORS[self.id.function_id])
+        object.__setattr__(self, "_shape", (self.id.dimension,))
+
     @property
     def dimension(self) -> int:
         return self.id.dimension
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
+        if x.shape != self._shape:
             raise ValueError(
                 f"expected point of dimension {self.dimension}, got shape {x.shape}"
             )
-        return _EVALUATORS[self.id.function_id](self, x)
+        return self._kernel(self, x)
 
     def precision(self, f_value: float) -> float:
         return max(f_value - self.f_opt, 0.0)
@@ -119,75 +180,83 @@ def _f1_sphere(p, x):
 
 def _f2_ellipsoid_separable(p, x):
     z = _oscillation(x - p.x_opt)
-    d = p.dimension
-    w = np.power(10.0, 6.0 * np.arange(d) / max(d - 1, 1))
-    return float(w @ (z * z))
+    return float(_ellipsoid_weights(x.size) @ (z * z))
 
 
 def _f6_attractive_sector(p, x):
-    d = p.dimension
-    z = p.rotation_Q @ (_power_weights(d, 100.0) * (p.rotation_R @ (x - p.x_opt)))
-    s = np.where(z * p.x_opt > 0.0, 100.0, 1.0)
-    val = float(np.sum((s * z) ** 2))
-    return float(_oscillation(val) ** 0.9)
+    z = p.rotation_Q @ (_power_weights(x.size, 100.0) * (p.rotation_R @ (x - p.x_opt)))
+    # s * z with s = 100 where z * x_opt > 0, else 1 (1 * z is z exactly)
+    np.multiply(z, 100.0, out=z, where=z * p.x_opt > 0.0)
+    z *= z
+    return float(_oscillation_scalar(float(np.add.reduce(z))) ** 0.9)
 
 
 def _rosenbrock(z):
-    return float(
-        np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2)
-    )
+    head = z[:-1]
+    t = head * head
+    t -= z[1:]
+    t *= t
+    t *= 100.0
+    u = head - 1.0
+    u *= u
+    t += u
+    return float(np.add.reduce(t))
 
 
 def _f8_rosenbrock(p, x):
-    c = max(1.0, np.sqrt(p.dimension) / 8.0)
-    z = c * (x - p.x_opt) + 1.0
+    z = _rosenbrock_scale(x.size) * (x - p.x_opt)
+    z += 1.0
     return _rosenbrock(z)
 
 
 def _f9_rosenbrock_rotated(p, x):
-    c = max(1.0, np.sqrt(p.dimension) / 8.0)
-    z = c * (p.rotation_R @ (x - p.x_opt)) + 1.0
+    z = _rosenbrock_scale(x.size) * (p.rotation_R @ (x - p.x_opt))
+    z += 1.0
     return _rosenbrock(z)
 
 
 def _f10_ellipsoid_rotated(p, x):
     z = _oscillation(p.rotation_R @ (x - p.x_opt))
-    d = p.dimension
-    w = np.power(10.0, 6.0 * np.arange(d) / max(d - 1, 1))
-    return float(w @ (z * z))
+    return float(_ellipsoid_weights(x.size) @ (z * z))
 
 
 def _f11_discus(p, x):
     z = _oscillation(p.rotation_R @ (x - p.x_opt))
-    return float(1e6 * z[0] ** 2 + np.sum(z[1:] ** 2))
+    tail = z[1:]
+    return float(1e6 * z[0] ** 2 + np.add.reduce(tail * tail))
 
 
 def _f12_bent_cigar(p, x):
     z = p.rotation_R @ _asymmetry(p.rotation_R @ (x - p.x_opt), 0.5)
-    return float(z[0] ** 2 + 1e6 * np.sum(z[1:] ** 2))
+    tail = z[1:]
+    return float(z[0] ** 2 + 1e6 * np.add.reduce(tail * tail))
 
 
 def _f13_sharp_ridge(p, x):
-    d = p.dimension
-    z = p.rotation_Q @ (_power_weights(d, 10.0) * (p.rotation_R @ (x - p.x_opt)))
-    return float(z[0] ** 2 + 100.0 * np.sqrt(np.sum(z[1:] ** 2)))
+    z = p.rotation_Q @ (_power_weights(x.size, 10.0) * (p.rotation_R @ (x - p.x_opt)))
+    tail = z[1:]
+    return float(z[0] ** 2 + 100.0 * np.sqrt(np.add.reduce(tail * tail)))
 
 
 def _f14_different_powers(p, x):
-    d = p.dimension
-    z = p.rotation_R @ (x - p.x_opt)
-    expo = 2.0 + 4.0 * np.arange(d) / max(d - 1, 1)
-    return float(np.sqrt(np.sum(np.abs(z) ** expo)))
+    z = np.abs(p.rotation_R @ (x - p.x_opt))
+    np.power(z, _different_powers_exponents(x.size), out=z)
+    return float(np.sqrt(np.add.reduce(z)))
 
 
 def _gallagher(p, x):
     peaks = p.peaks
     diff = x[None, :] - peaks["centers"]          # (K, d)
-    rotated = diff @ p.rotation_R.T               # rows R (x - y_i)
-    q = np.sum(rotated * rotated * peaks["scales"], axis=1)
-    vals = peaks["weights"] * np.exp(-q / (2.0 * p.dimension))
-    best = float(np.max(vals))
-    return float(_oscillation(10.0 - best) ** 2)
+    q = diff @ p.rotation_R.T                     # rows R (x - y_i)
+    q *= q
+    q *= peaks["scales"]
+    q = np.add.reduce(q, axis=1)
+    np.negative(q, out=q)
+    q /= 2.0 * x.size
+    np.exp(q, out=q)
+    q *= peaks["weights"]
+    best = float(q.max())
+    return float(_oscillation_scalar(10.0 - best) ** 2)
 
 
 _EVALUATORS = {

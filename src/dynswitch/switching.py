@@ -111,7 +111,7 @@ def run_switch(
         rng2 = np.random.default_rng([seed, A2_SEED_SALT])
         a2 = apply_warmstart(
             ws, plan.a1.algorithm, plan.a2.algorithm, plan.policy, rng2,
-            budget=budget,
+            budget=budget, overrides=plan.a2.overrides,
         )
         ev.stop_target = plan.phi
         if ev.best_precision <= plan.phi:

@@ -190,13 +190,14 @@ class BudgetedEvaluator:
         return self.budget - self.trace.evals_used
 
     def __call__(self, x) -> float:
-        if self.trace.evals_used >= self.budget:
+        trace = self.trace
+        if trace.evals_used >= self.budget:
             raise BudgetExhausted()
         value = self.problem.evaluate(x)
-        self.trace.evals_used += 1
+        trace.evals_used += 1
         prec = self.problem.precision(value)
-        if prec < self.trace.best_precision:
-            self.trace.best_precision = prec
+        if prec < trace.best_precision:
+            trace.best_precision = prec
             self.best_x = np.array(x, dtype=float, copy=True)
             self.best_f = value
             targets = self.grid.targets
@@ -205,8 +206,8 @@ class BudgetedEvaluator:
                 and prec <= targets[self._next_grid_index]
             ):
                 e = self.grid.exponents[self._next_grid_index]
-                self.trace.hit_at[e] = self.trace.evals_used
+                trace.hit_at[e] = trace.evals_used
                 self._next_grid_index += 1
-        if self.trace.best_precision <= self.stop_target:
+        if trace.best_precision <= self.stop_target:
             raise TargetReached()
         return value

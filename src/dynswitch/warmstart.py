@@ -127,28 +127,38 @@ def unit_determinant(matrix):
     return m / np.exp(logdet / d)
 
 
+def _construct(cls, dim, rng, overrides, **state):
+    """``cls`` built with the A2 config overrides; the warm-started state
+    wins where both name the same parameter."""
+    return cls(dim, rng, **{**(overrides or {}), **state})
+
+
 def warmstart_cmaes_from_bfgs(ws: WarmStartState, policy: WarmStartPolicy,
-                              rng) -> Cmaes:
+                              rng, overrides=None) -> Cmaes:
     """Covariance from the inverse Hessian, step-size from the trajectory."""
     if ws.inv_hessian is None or ws.recent_trajectory is None:
         raise ValueError("warm-start state lacks BFGS fields")
     dim = ws.best_point.size
     last_point = ws.recent_trajectory[0]
     if policy.mode == MODE_POINT_ONLY:
-        return Cmaes(dim, rng, mean=ws.best_point.copy(), sigma=DEFAULT_SIGMA)
+        return _construct(Cmaes, dim, rng, overrides,
+                          mean=ws.best_point.copy(), sigma=DEFAULT_SIGMA)
     cov = unit_determinant(ws.inv_hessian)
     sigma = _trajectory_sigma(ws.recent_trajectory, policy.step_size_window)
-    return Cmaes(dim, rng, mean=np.array(last_point, dtype=float, copy=True),
-                 sigma=sigma, C=cov)
+    return _construct(Cmaes, dim, rng, overrides,
+                      mean=np.array(last_point, dtype=float, copy=True),
+                      sigma=sigma, C=cov)
 
 
 def warmstart_bfgs_from_cmaes(ws: WarmStartState, policy: WarmStartPolicy,
-                              rng) -> Bfgs:
+                              rng, overrides=None) -> Bfgs:
     """Inverse Hessian = beta * sigma^2 * C, started at the best point."""
+    dim = ws.best_point.size
     if policy.mode == MODE_POINT_ONLY or ws.covariance is None or ws.sigma is None:
-        return Bfgs(ws.best_point.size, rng, x0=ws.best_point.copy())
+        return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy())
     h0 = policy.hessian_scale * ws.sigma ** 2 * ws.covariance
-    return Bfgs(ws.best_point.size, rng, x0=ws.best_point.copy(), inv_hessian=h0)
+    return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy(),
+                      inv_hessian=h0)
 
 
 def _hyperbox_sample(ws, policy, rng, n):
@@ -158,41 +168,47 @@ def _hyperbox_sample(ws, policy, rng, n):
     return rng.uniform(low, high, size=(n, ws.best_point.size))
 
 
-def _population_size(target, dim):
-    return SWARM_SIZE if target == "PSO" else POPULATION_MULTIPLIER * dim
+def _population_size(target, dim, overrides):
+    """Swarm or population size, as the PSO and DE constructors choose it."""
+    overrides = overrides or {}
+    if target == "PSO":
+        return overrides.get("swarm_size", SWARM_SIZE)
+    return overrides.get("population_size") or POPULATION_MULTIPLIER * dim
 
 
 def warmstart_population_from_mlsl(ws: WarmStartState, policy: WarmStartPolicy,
-                                   target: str, rng):
+                                   target: str, rng, overrides=None):
     """Seed a PSO swarm or DE population in the hyperbox around the best point."""
     if target not in ("PSO", "DE"):
         raise ValueError(f"unsupported hyperbox target {target!r}")
     dim = ws.best_point.size
-    pop = _hyperbox_sample(ws, policy, rng, _population_size(target, dim))
+    pop = _hyperbox_sample(ws, policy, rng, _population_size(target, dim, overrides))
     pop[0] = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
     if target == "DE":
-        return De(dim, rng, population=pop)
+        return _construct(De, dim, rng, overrides, population=pop)
     eta = policy.hyperbox_radius
     velocities = rng.uniform(-eta, eta, size=pop.shape)
-    return Pso(dim, rng, positions=pop, velocities=velocities)
+    return _construct(Pso, dim, rng, overrides, positions=pop,
+                      velocities=velocities)
 
 
-def warmstart_cmaes_from_mlsl(ws: WarmStartState, rng) -> Cmaes:
+def warmstart_cmaes_from_mlsl(ws: WarmStartState, rng, overrides=None) -> Cmaes:
     """Mean at the best point; default step-size and identity covariance."""
-    dim = ws.best_point.size
-    return Cmaes(dim, rng, mean=ws.best_point.copy(), sigma=DEFAULT_SIGMA)
+    return _construct(Cmaes, ws.best_point.size, rng, overrides,
+                      mean=ws.best_point.copy(), sigma=DEFAULT_SIGMA)
 
 
 def warmstart_generic(ws: WarmStartState, target: str,
-                      policy: WarmStartPolicy, rng, budget=None):
+                      policy: WarmStartPolicy, rng, budget=None, overrides=None):
     """Fallback transfer for pairs without a dedicated procedure."""
     dim = ws.best_point.size
     if target == "BFGS":
-        return Bfgs(dim, rng, x0=ws.best_point.copy())
+        return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy())
     if target == "MLSL":
         # a fresh sampler, pre-seeded with the predecessor's best point so
-        # the reduced-set logic is aware of it
-        opt = Mlsl(dim, rng, budget=budget)
+        # the reduced-set logic is aware of it; a configured budget wins,
+        # as in make_optimizer
+        opt = Mlsl(dim, rng, **{"budget": budget, **(overrides or {})})
         opt.sample_points = np.array([ws.best_point], dtype=float)
         opt.sample_values = np.array([ws.best_value], dtype=float)
         return opt
@@ -203,9 +219,10 @@ def warmstart_generic(ws: WarmStartState, target: str,
             spread = float(np.mean(np.std(coords, axis=0)))
             if spread > 0:
                 sigma = 0.5 * spread
-        return Cmaes(dim, rng, mean=ws.best_point.copy(), sigma=sigma)
+        return _construct(Cmaes, dim, rng, overrides,
+                          mean=ws.best_point.copy(), sigma=sigma)
     if target in ("PSO", "DE"):
-        size = _population_size(target, dim)
+        size = _population_size(target, dim, overrides)
         ranked = sorted(ws.population or [], key=lambda pf: pf[1])[:size]
         n_carried = len(ranked)
         carried = np.array([p for p, _ in ranked]).reshape(n_carried, dim)
@@ -216,23 +233,30 @@ def warmstart_generic(ws: WarmStartState, target: str,
         if not np.any(np.all(positions == best_clipped[None, :], axis=1)):
             positions[-1] = best_clipped
         if target == "DE":
-            return De(dim, rng, population=positions)
+            return _construct(De, dim, rng, overrides, population=positions)
         eta = policy.hyperbox_radius
         velocities = np.zeros_like(positions)
         velocities[n_carried:] = rng.uniform(-eta, eta, size=pad.shape)
-        return Pso(dim, rng, positions=positions, velocities=velocities)
+        return _construct(Pso, dim, rng, overrides, positions=positions,
+                          velocities=velocities)
     raise ValueError(f"unsupported warm-start target {target!r}")
 
 
 def apply_warmstart(ws: WarmStartState, source: str, target: str,
-                    policy: WarmStartPolicy, rng, budget=None):
-    """Dispatch to the pair-specific procedure, else the generic fallback."""
+                    policy: WarmStartPolicy, rng, budget=None, overrides=None):
+    """Dispatch to the pair-specific procedure, else the generic fallback.
+
+    ``overrides`` are A2's constructor overrides (``OptimizerConfig``); the
+    warm-started mean, sigma, C, x0, inverse Hessian and population win over
+    them.
+    """
     if source == "BFGS" and target == "CMA-ES":
-        return warmstart_cmaes_from_bfgs(ws, policy, rng)
+        return warmstart_cmaes_from_bfgs(ws, policy, rng, overrides)
     if source == "CMA-ES" and target == "BFGS":
-        return warmstart_bfgs_from_cmaes(ws, policy, rng)
+        return warmstart_bfgs_from_cmaes(ws, policy, rng, overrides)
     if source == "MLSL" and target in ("PSO", "DE"):
-        return warmstart_population_from_mlsl(ws, policy, target, rng)
+        return warmstart_population_from_mlsl(ws, policy, target, rng, overrides)
     if source == "MLSL" and target == "CMA-ES":
-        return warmstart_cmaes_from_mlsl(ws, rng)
-    return warmstart_generic(ws, target, policy, rng, budget=budget)
+        return warmstart_cmaes_from_mlsl(ws, rng, overrides)
+    return warmstart_generic(ws, target, policy, rng, budget=budget,
+                             overrides=overrides)

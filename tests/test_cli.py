@@ -176,6 +176,24 @@ def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
     assert not (out / "switch_runs.jsonl").exists()
 
 
+def test_switch_refuses_static_log_of_another_budget(tmp_path, capsys):
+    static = tmp_path / "static"
+    assert main([
+        "bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
+        "--dims", "2", "--runs", "1", "--instances", "1",
+        "--budget-mult", "500", "--out", str(static),
+    ]) == 0
+    out = tmp_path / "switch"
+    code = main([
+        "switch", "--plan", "BFGS:CMA-ES:1e-2", "--functions", "1",
+        "--dims", "2", "--runs", "1", "--instances", "1",
+        "--budget-mult", "2000", "--logs", str(static), "--out", str(out),
+    ])
+    assert code == 1
+    assert "budget 1000 for F1 2D" in capsys.readouterr().err
+    assert not (out / "switch_runs.jsonl").exists()
+
+
 def test_analyze_refuses_mixed_budgets(bench_dir, tmp_path, capsys):
     other = tmp_path / "other"
     assert main([
@@ -227,6 +245,9 @@ def test_config_overrides_are_applied(tmp_path):
      "--dims", "2"],
     ["sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS", "--function", "10",
      "--dim", "2", "--tau-exponents", "0.0"],
+    # the override is for A2, the warm-started CMA-ES
+    ["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "10",
+     "--dims", "2"],
 ])
 def test_config_overrides_reach_switch_runs(command, tmp_path):
     cfg = tmp_path / "overrides.json"

@@ -288,3 +288,32 @@ def test_full_transfer_beats_point_only_after_bfgs():
                 pass
             bucket.append(ev2.trace.evals_used)
     assert np.mean(warm_costs) < np.mean(cold_costs)
+
+
+def test_a2_overrides_apply_and_warm_state_wins():
+    from dynswitch.warmstart import WarmStartState
+    best = np.array([1.5, 0.5])
+    ws = WarmStartState(best_point=best, best_value=1.0, evaluations_spent=5,
+                        population=[(best, 1.0)])
+    cma = apply_warmstart(ws, "MLSL", "CMA-ES", default_policy(),
+                          np.random.default_rng(0),
+                          overrides={"population_size": 12,
+                                     "mean": np.zeros(2), "sigma": 3.0})
+    assert cma.lam == 12
+    assert np.array_equal(cma.mean, best) and cma.sigma == DEFAULT_SIGMA
+    bfgs = apply_warmstart(ws, "PSO", "BFGS", default_policy(),
+                           np.random.default_rng(0),
+                           overrides={"gradient_tolerance": 1e-3,
+                                      "x0": np.zeros(2)})
+    assert bfgs.gradient_tolerance == 1e-3 and np.array_equal(bfgs.x, best)
+    # population sizes follow the overrides, for the hyperbox and the
+    # generic transfer alike
+    for source in ("MLSL", "CMA-ES"):
+        de = apply_warmstart(ws, source, "DE", default_policy(),
+                             np.random.default_rng(0),
+                             overrides={"population_size": 7})
+        pso = apply_warmstart(ws, source, "PSO", default_policy(),
+                              np.random.default_rng(0),
+                              overrides={"swarm_size": 9})
+        assert de.population.shape == (7, 2)
+        assert pso.positions.shape == (9, 2)
