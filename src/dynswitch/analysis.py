@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tracing import DEFAULT_GRID, TargetGrid
+from .tracing import DEFAULT_GRID
 
 
 def ert(runs, budget) -> float:
@@ -38,7 +38,7 @@ def ert(runs, budget) -> float:
     return total / successes if successes else math.inf
 
 
-def ert_curve(records, budget=None, grid: TargetGrid = DEFAULT_GRID) -> dict:
+def ert_curve(records, budget=None) -> dict:
     """Per grid exponent: (ert, successes, runs) pooled over the records.
 
     Without an explicit ``budget`` the records must share one: runs from
@@ -57,7 +57,7 @@ def ert_curve(records, budget=None, grid: TargetGrid = DEFAULT_GRID) -> dict:
             )
         budget = budgets[0]
     curve = {}
-    for e in grid.exponents:
+    for e in DEFAULT_GRID.exponents:
         runs = [(rec["hit_at"].get(e, math.inf), min(rec["evals_used"], budget))
                 for rec in records]
         value = ert(runs, budget)
@@ -66,14 +66,14 @@ def ert_curve(records, budget=None, grid: TargetGrid = DEFAULT_GRID) -> dict:
     return curve
 
 
-def build_ert_tables(records, budget=None, grid: TargetGrid = DEFAULT_GRID):
+def build_ert_tables(records, budget=None):
     """Group run records by (algorithm_label, function, dimension)."""
     groups = {}
     for rec in records:
         key = (rec["algorithm_label"], rec["function_id"], rec["dimension"])
         groups.setdefault(key, []).append(rec)
     return {
-        key: ert_curve(recs, budget=budget, grid=grid)
+        key: ert_curve(recs, budget=budget)
         for key, recs in groups.items()
     }
 
@@ -97,14 +97,13 @@ def theoretical_performance(curve_a1, curve_a2, tau_exponent, phi_exponent) -> f
     return max(v1, v1 + v2 - v3)
 
 
-def best_tau(curve_a1, curve_a2, phi_exponent,
-             grid: TargetGrid = DEFAULT_GRID):
+def best_tau(curve_a1, curve_a2, phi_exponent):
     """(tau_exponent, value) minimizing the theoretical switching cost.
 
     Ties break toward the larger tau (the earlier switch).
     """
     best_exp, best_val = None, math.inf
-    for e in grid.exponents:  # descending: largest tau first
+    for e in DEFAULT_GRID.exponents:  # descending: largest tau first
         if not e > phi_exponent:
             continue
         val = theoretical_performance(curve_a1, curve_a2, e, phi_exponent)
@@ -126,8 +125,6 @@ class VbsReport:
     dyn_tau_exponent: float | None   # None for the identity (no-switch) pair
     dyn_theoretical_ert: float
     theoretical_gain: float
-    actual_ert: float | None = None
-    actual_gain: float | None = None
 
 
 def relative_gain(reference: float, value: float) -> float:
@@ -157,8 +154,7 @@ def gains(static_ert, theoretical_ert, actual_ert=None):
     return tg, ag, avt
 
 
-def vbs_dyn(tables_for_cell, function_id, dimension, phi_exponent,
-            grid: TargetGrid = DEFAULT_GRID) -> VbsReport:
+def vbs_dyn(tables_for_cell, function_id, dimension, phi_exponent) -> VbsReport:
     """Exhaustive search over ordered (A1, A2) pairs (identity included)
     and all grid switching points for one function-dimension cell."""
     if not tables_for_cell:
@@ -177,7 +173,7 @@ def vbs_dyn(tables_for_cell, function_id, dimension, phi_exponent,
         for a2, curve2 in sorted(tables_for_cell.items()):
             if a2 == a1:
                 continue
-            tau_exp, val = best_tau(curve1, curve2, phi_exponent, grid)
+            tau_exp, val = best_tau(curve1, curve2, phi_exponent)
             if tau_exp is not None and val < best[0]:
                 best = (val, a1, a2, tau_exp)
     dyn_val, a1, a2, tau_exp = best
@@ -198,27 +194,25 @@ def vbs_dyn(tables_for_cell, function_id, dimension, phi_exponent,
     )
 
 
-def build_vbs_reports(tables, phi_exponent, grid: TargetGrid = DEFAULT_GRID):
+def build_vbs_reports(tables, phi_exponent):
     """One VbsReport per (function, dimension) present in the tables."""
     cells = {}
     for (label, f, d), curve in tables.items():
         cells.setdefault((f, d), {})[label] = curve
     return [
-        vbs_dyn(algos, f, d, phi_exponent, grid)
+        vbs_dyn(algos, f, d, phi_exponent)
         for (f, d), algos in sorted(cells.items())
     ]
 
 
-def heatmap_data(reports, use_actual=False):
+def heatmap_data(reports):
     """Gain matrix cells for plotting: value capped below at 0, with flags.
 
     Returns {(function_id, dimension): {"value", "negative", "infinite"}}.
     """
     cells = {}
     for rep in reports:
-        gain = rep.actual_gain if use_actual else rep.theoretical_gain
-        if gain is None:
-            continue
+        gain = rep.theoretical_gain
         infinite = math.isinf(gain) and gain < 0
         negative = (gain < 0) and not math.isinf(gain)
         value = 0.0 if (negative or infinite) else gain

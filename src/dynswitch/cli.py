@@ -58,6 +58,11 @@ def _parse_int_list(text, valid=None, what="value"):
     return out
 
 
+def _grid_target(text):
+    """--phi: the grid target nearest to the precision given."""
+    return DEFAULT_GRID.snap(float(text))
+
+
 def _optimizer_configs(args, algorithms):
     """OptimizerConfig per algorithm, with the --config overrides applied."""
     overrides = {}
@@ -343,8 +348,8 @@ def cmd_switch(args):
     switch_tables = build_ert_tables(records)
     rows = []
     for a1, a2, tau, f, d in plan_cells:
-        label = f"{a1}>{a2}@{DEFAULT_GRID.snap(tau):.6g}"
-        curve = switch_tables.get((label, f, d))
+        plan = switch_plans[a1, a2, tau]
+        curve = switch_tables.get((plan.label(), f, d))
         actual = curve[phi_exp][0] if curve else math.inf
         static_val = theoretical = ""
         if static_tables:
@@ -355,12 +360,12 @@ def cmd_switch(args):
                 if a1 in cell and a2 in cell:
                     theoretical = theoretical_performance(
                         cell[a1], cell[a2],
-                        DEFAULT_GRID.snap_exponent(tau), phi_exp,
+                        DEFAULT_GRID.snap_exponent(plan.tau), phi_exp,
                     )
         row_gains = ("", "", "")
         if static_val != "" and theoretical != "" and math.isfinite(static_val):
             row_gains = gains(static_val, theoretical, actual)
-        rows.append((a1, a2, f, d, DEFAULT_GRID.snap(tau), static_val,
+        rows.append((a1, a2, f, d, plan.tau, static_val,
                      theoretical, actual, *row_gains))
     _write_table(outdir / "switch_report.tsv",
                  ["a1", "a2", "function_id", "dimension", "tau",
@@ -415,7 +420,7 @@ def _add_common(parser):
                         default=[1, 2, 3, 4, 5])
     parser.add_argument("--budget-mult", type=int,
                         default=DEFAULT_BUDGET_MULTIPLIER)
-    parser.add_argument("--phi", type=float, default=DEFAULT_FINAL_TARGET)
+    parser.add_argument("--phi", type=_grid_target, default=DEFAULT_FINAL_TARGET)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--suite-seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1)
@@ -465,7 +470,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="compute ERT tables and VBS reports")
     p.add_argument("--logs", required=True)
-    p.add_argument("--phi", type=float, default=DEFAULT_FINAL_TARGET)
+    p.add_argument("--phi", type=_grid_target, default=DEFAULT_FINAL_TARGET)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_analyze)
 
@@ -489,7 +494,8 @@ def build_parser():
     p.add_argument("--function", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--tau-exponents",
-                   help="comma-separated exponents; default: full grid")
+                   help="comma-separated exponents, snapped to the grid; "
+                        "default: full grid")
     _add_common(p)
     _add_warmstart(p)
     p.set_defaults(func=cmd_sweep_tau)

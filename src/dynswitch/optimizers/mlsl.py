@@ -57,11 +57,9 @@ def powell_minimize(fun, x0, f_tol=POWELL_F_TOL, max_evals=None):
     return state["best_x"], state["best_f"]
 
 
-def critical_distance(dim, total_samples, sigma=SIGMA_PARAMETER,
-                      box_volume=None):
+def critical_distance(dim, total_samples, sigma=SIGMA_PARAMETER):
     """MLSL critical-distance radius r_k; decreasing in the sample count."""
-    if box_volume is None:
-        box_volume = (DOMAIN_HIGH - DOMAIN_LOW) ** dim
+    box_volume = (DOMAIN_HIGH - DOMAIN_LOW) ** dim
     kn = max(total_samples, 2)
     inner = math.gamma(1.0 + dim / 2.0) * box_volume * sigma * math.log(kn) / kn
     return inner ** (1.0 / dim) / math.sqrt(math.pi)

@@ -10,7 +10,7 @@ strict no-switch semantics.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .tracing import (
     TERMINATED_TARGET,
     BudgetedEvaluator,
     RunTrace,
-    TargetGrid,
 )
 from .warmstart import WarmStartPolicy, apply_warmstart, extract
 
@@ -47,13 +46,14 @@ class SwitchPlan:
     policy: WarmStartPolicy = WarmStartPolicy()
 
     def __post_init__(self):
+        # tau and phi move onto the target grid (snap refuses values <= 0),
+        # so the runs stop exactly where the ERT tables read them
+        object.__setattr__(self, "tau", DEFAULT_GRID.snap(self.tau))
+        object.__setattr__(self, "phi", DEFAULT_GRID.snap(self.phi))
         if not self.tau > self.phi > 0:
             raise ValueError(
                 f"need tau > phi > 0, got tau={self.tau}, phi={self.phi}"
             )
-
-    def snapped(self, grid: TargetGrid = DEFAULT_GRID) -> "SwitchPlan":
-        return replace(self, tau=grid.snap(self.tau))
 
     def label(self) -> str:
         return f"{self.a1.algorithm}>{self.a2.algorithm}@{self.tau:.6g}"
@@ -83,16 +83,14 @@ def run_switch(
     seed: int = 0,
     run_index: int = 0,
     early_switch: bool = True,
-    grid: TargetGrid = DEFAULT_GRID,
 ) -> SwitchTrace:
     """Execute one dynamic run; deterministic given (plan, problem, seed)."""
-    plan = plan.snapped(grid)
     dim = problem.dimension
     if budget is None:
         budget = DEFAULT_BUDGET_MULTIPLIER * dim
     ev = BudgetedEvaluator(
         problem, budget, stop_target=plan.tau,
-        algorithm_label=plan.label(), run_index=run_index, grid=grid,
+        algorithm_label=plan.label(), run_index=run_index,
     )
     rng1 = np.random.default_rng(seed)
     a1 = make_optimizer(plan.a1, dim, rng1, budget=budget)
@@ -141,29 +139,31 @@ def sweep_tau(
     seed: int = 0,
     policy: WarmStartPolicy = WarmStartPolicy(),
     early_switch: bool = True,
-    grid: TargetGrid = DEFAULT_GRID,
 ):
     """Switching-point sensitivity sweep.
 
     Runs ``runs_per_instance`` switch runs per (tau, problem instance) and
     reports the hitting time at phi per run (evaluations consumed when phi
     was never reached).  Returns (rows, summary): rows are dicts per run,
-    summary aggregates mean/std per tau.
+    summary aggregates mean/std per tau, keyed by tau's grid exponent.
     """
-    rows = []
+    plans = {}
     for tau_exp in tau_exponents:
-        tau = 10.0 ** tau_exp
-        if not tau > phi:
-            raise ValueError(f"sweep tau {tau} must exceed phi {phi}")
-        plan = SwitchPlan(a1=a1, a2=a2, tau=tau, phi=phi, policy=policy)
-        key = round(float(tau_exp), 10)
+        plan = SwitchPlan(a1=a1, a2=a2, tau=10.0 ** tau_exp, phi=phi,
+                          policy=policy)
+        key = DEFAULT_GRID.snap_exponent(plan.tau)
+        if key in plans:
+            raise ValueError(f"tau exponents {list(tau_exponents)} put two "
+                             f"switching points on the same grid target {key}")
+        plans[key] = plan
+    rows = []
+    for key, plan in plans.items():
         for problem in problems:
             for run in range(runs_per_instance):
                 run_seed = cell_seed("sweep", seed, key, problem.id.instance, run)
                 st = run_switch(plan, problem, budget=budget, seed=run_seed,
-                                run_index=run, early_switch=early_switch,
-                                grid=grid)
-                hit = st.trace.hitting_time(phi, grid)
+                                run_index=run, early_switch=early_switch)
+                hit = st.trace.hitting_time(plan.phi)
                 rows.append({
                     "tau_exponent": key,
                     "instance": problem.id.instance,
@@ -174,8 +174,7 @@ def sweep_tau(
                     "switch_eval": st.switch_eval,
                 })
     summary = []
-    for tau_exp in tau_exponents:
-        key = round(float(tau_exp), 10)
+    for key in plans:
         cell = [r for r in rows if r["tau_exponent"] == key]
         costs = [r["hit_phi"] if r["success"] else r["evals_used"] for r in cell]
         summary.append({

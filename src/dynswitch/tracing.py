@@ -39,14 +39,14 @@ class TargetReached(StopRun):
 
 
 class TargetGrid:
-    """Descending grid of precision targets 10^2, 10^1.8, ..., 10^-8."""
+    """The fixed descending grid of precision targets 10^2, 10^1.8, ..., 10^-8.
 
-    def __init__(self, first_exponent=2.0, last_exponent=-8.0, step=0.2):
-        n = int(round((first_exponent - last_exponent) / step)) + 1
-        self.exponents = tuple(
-            round(first_exponent - i * step, 10) for i in range(n)
-        )
-        self.targets = tuple(10.0 ** e for e in self.exponents)
+    phi and tau are snapped onto it where they enter the program, so runs
+    stop exactly at the targets that the ERT tables read.
+    """
+
+    exponents = tuple(round(2.0 - i * 0.2, 10) for i in range(51))
+    targets = tuple(10.0 ** e for e in exponents)
 
     def __len__(self):
         return len(self.exponents)
@@ -56,8 +56,7 @@ class TargetGrid:
         if value <= 0:
             raise ValueError("precision targets must be positive")
         e = math.log10(value)
-        best = min(self.exponents, key=lambda g: (abs(g - e), -g))
-        return best
+        return min(self.exponents, key=lambda g: (abs(g - e), -g))
 
     def snap(self, value: float) -> float:
         return 10.0 ** self.snap_exponent(value)
@@ -83,21 +82,10 @@ class RunTrace:
     hit_at: dict[float, int] = field(default_factory=dict)
     terminated_reason: str = TERMINATED_BUDGET
 
-    def hitting_time(self, target: float, grid: TargetGrid = DEFAULT_GRID) -> float:
-        """First-crossing evaluation count for ``target``; inf if never hit.
-
-        Off-grid targets are answered conservatively from the next-finer
-        (smaller) grid target.
-        """
-        if target <= 0:
-            raise ValueError("target must be positive")
-        e = math.log10(target)
-        candidates = [g for g in grid.exponents if g <= e + 1e-12]
-        if not candidates:
-            return math.inf
-        key = max(candidates)
-        t = self.hit_at.get(key)
-        return math.inf if t is None else t
+    def hitting_time(self, target: float) -> float:
+        """First-crossing evaluation count at the grid target nearest to
+        ``target``; inf if never hit."""
+        return self.hit_at.get(DEFAULT_GRID.snap_exponent(target), math.inf)
 
     def to_record(self) -> dict:
         rec = {
@@ -161,12 +149,10 @@ class BudgetedEvaluator:
         stop_target: float = DEFAULT_FINAL_TARGET,
         algorithm_label: str = "",
         run_index: int = 0,
-        grid: TargetGrid = DEFAULT_GRID,
     ):
         self.problem = problem
         self.budget = int(budget)
         self.stop_target = float(stop_target)
-        self.grid = grid
         self.trace = RunTrace(
             problem=problem.id,
             algorithm_label=algorithm_label,
@@ -185,10 +171,6 @@ class BudgetedEvaluator:
     def best_precision(self) -> float:
         return self.trace.best_precision
 
-    @property
-    def remaining(self) -> int:
-        return self.budget - self.trace.evals_used
-
     def __call__(self, x) -> float:
         trace = self.trace
         if trace.evals_used >= self.budget:
@@ -200,12 +182,12 @@ class BudgetedEvaluator:
             trace.best_precision = prec
             self.best_x = np.array(x, dtype=float, copy=True)
             self.best_f = value
-            targets = self.grid.targets
+            targets = DEFAULT_GRID.targets
             while (
                 self._next_grid_index < len(targets)
                 and prec <= targets[self._next_grid_index]
             ):
-                e = self.grid.exponents[self._next_grid_index]
+                e = DEFAULT_GRID.exponents[self._next_grid_index]
                 trace.hit_at[e] = trace.evals_used
                 self._next_grid_index += 1
         if trace.best_precision <= self.stop_target:

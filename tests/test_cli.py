@@ -1,9 +1,10 @@
+import collections
 import json
 
 import pytest
 
 from dynswitch.cli import cell_seed, main
-from dynswitch.tracing import load_records
+from dynswitch.tracing import DEFAULT_GRID, load_records
 
 
 def run_cli(*argv):
@@ -260,3 +261,67 @@ def test_config_overrides_reach_switch_runs(command, tmp_path):
         log = "switch_runs.jsonl" if command[0] == "switch" else "sweep_runs.tsv"
         outputs.append((out / log).read_text())
     assert outputs[0] != outputs[1]
+
+
+def test_off_grid_phi_scores_every_target_hit(tmp_path):
+    # bench stops each run at --phi and analyze reads the ERT at --phi: both
+    # must mean the same grid target, or a stopped run can miss it
+    bench, analysis = tmp_path / "bench", tmp_path / "analysis"
+    assert main([
+        "bench", "--algorithms", "BFGS,CMA-ES,PSO", "--functions", "1,10",
+        "--dims", "2", "--instances", "1,2,3", "--runs", "2",
+        "--budget-mult", "500", "--phi", "1.9e-8", "--out", str(bench),
+    ]) == 0
+    assert main(["analyze", "--logs", str(bench), "--phi", "1.9e-8",
+                 "--out", str(analysis)]) == 0
+    records, _ = load_records(bench / "runs.jsonl")
+    hits = collections.Counter(
+        (r["algorithm_label"], r["function_id"], r["dimension"])
+        for r in records if r["terminated_reason"] == "target_hit")
+    phi_exp = DEFAULT_GRID.snap_exponent(1.9e-8)
+    rows = [r for r in _report_rows(analysis / "ert_table.tsv")
+            if float(r["target_exponent"]) == phi_exp]
+    assert len(rows) == 6
+    for r in rows:
+        key = (r["algorithm"], int(r["function_id"]), int(r["dimension"]))
+        assert int(r["successes"]) == hits[key], key
+    manifest = json.loads((bench / "manifest.json").read_text())
+    assert manifest["phi"] == DEFAULT_GRID.snap(1.9e-8)
+
+
+def test_switch_tau_snapping_onto_phi_fails_before_running(tmp_path, capsys):
+    out = tmp_path / "switch"
+    code = main([
+        "switch", "--plan", "BFGS:CMA-ES:1.05e-8", "--functions", "1",
+        "--dims", "2", "--runs", "1", "--instances", "1",
+        "--budget-mult", "200", "--out", str(out),
+    ])
+    assert code == 1
+    assert "tau > phi" in capsys.readouterr().err
+    assert not (out / "switch_runs.jsonl").exists()
+
+
+def test_sweep_tau_reports_the_grid_exponent_it_ran(tmp_path):
+    small = ["--a1", "BFGS", "--a2", "CMA-ES", "--function", "1", "--dim",
+             "2", "--runs", "1", "--instances", "1", "--budget-mult", "500"]
+    off, on = tmp_path / "off", tmp_path / "on"
+    assert main(["sweep-tau", *small, "--tau-exponents=-1.05,-2",
+                 "--out", str(off)]) == 0
+    assert main(["sweep-tau", *small, "--tau-exponents=-1,-2",
+                 "--out", str(on)]) == 0
+    for name in ("sweep_runs.tsv", "sweep_summary.tsv"):
+        assert [r["tau_exponent"] for r in _report_rows(off / name)] == \
+            ["-1.0", "-2.0"]
+        assert (off / name).read_bytes() == (on / name).read_bytes()
+
+
+def test_sweep_tau_refuses_exponents_on_one_grid_point(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
+        "--dim", "2", "--tau-exponents=-1,-1.05", "--runs", "1",
+        "--instances", "1", "--budget-mult", "500", "--out", str(out),
+    ])
+    assert code == 1
+    assert "same grid target" in capsys.readouterr().err
+    assert not (out / "sweep_runs.tsv").exists()

@@ -4,7 +4,7 @@ import pytest
 from dynswitch.optimizers import OptimizerConfig, run_single
 from dynswitch.problems import ProblemId, instantiate
 from dynswitch.switching import SwitchPlan, run_switch, sweep_tau
-from dynswitch.tracing import TERMINATED_TARGET
+from dynswitch.tracing import DEFAULT_GRID, TERMINATED_TARGET
 
 
 BFGS = OptimizerConfig("BFGS")
@@ -26,8 +26,17 @@ def test_plan_validation():
 
 
 def test_plan_snaps_tau_to_grid():
-    plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=3.98e-6).snapped()
+    plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=3.98e-6)
     assert plan.tau == pytest.approx(10 ** -5.4)
+
+
+def test_plan_snaps_phi_to_grid_before_validating():
+    plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=1e-2, phi=1.9e-8)
+    assert plan.phi == DEFAULT_GRID.snap(1.9e-8)
+    assert plan.phi in DEFAULT_GRID.targets
+    # tau above phi, but both land on the same grid target
+    with pytest.raises(ValueError):
+        SwitchPlan(a1=BFGS, a2=CMAES, tau=1.05e-8, phi=1e-8)
 
 
 def test_plan_label():
@@ -123,3 +132,16 @@ def test_sweep_tau_rejects_tau_at_or_below_phi(sphere_problem):
     with pytest.raises(ValueError):
         sweep_tau(BFGS, CMAES, [sphere_problem], tau_exponents=[-8.0],
                   runs_per_instance=1, budget=1000)
+
+
+def test_sweep_tau_counts_every_run_that_reaches_off_grid_phi():
+    # phi = 9e-8 lies between grid targets: the runs stop at phi's grid
+    # target and the hits are read at that same target
+    problems = [instantiate(ProblemId(1, 2, i), 0) for i in (1, 2, 3)]
+    rows, summary = sweep_tau(
+        BFGS, CMAES, problems, tau_exponents=[0.0, -2.0],
+        runs_per_instance=5, phi=9e-8, budget=20_000, seed=0,
+    )
+    assert len(rows) == 30
+    assert all(r["success"] for r in rows)
+    assert [s["successes"] for s in summary] == [15, 15]
