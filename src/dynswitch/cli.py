@@ -2,13 +2,12 @@
 
 Runs fan out deterministically from a master seed, so reruns with the same
 settings produce byte-identical log payloads.  Exit codes: 0 success, 1 usage
-error, 2 partial failures.
+error or failed sweep run, 2 partial failures of bench or switch.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -26,7 +25,7 @@ from .analysis import (
 )
 from .optimizers import OptimizerConfig, canonical_algorithm, run_single
 from .problems import IMPLEMENTED_FUNCTIONS, ProblemId, instantiate
-from .switching import SwitchPlan, cell_seed, run_switch, sweep_tau
+from .switching import SwitchPlan, cell_seed, run_switch, run_tasks, sweep_tau
 from .tracing import (
     DEFAULT_BUDGET_MULTIPLIER,
     DEFAULT_FINAL_TARGET,
@@ -108,28 +107,6 @@ def _switch_cell(args, plans, cell):
         early_switch=not args.no_early_switch,
     )
     return st.to_record()
-
-
-def run_tasks(worker, tasks, jobs):
-    """Apply ``worker`` to every task, in a process pool when ``jobs > 1``.
-
-    Returns (results, failures); a task that raises is reported as
-    (task, message) and the batch continues.
-    """
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(worker, t): t for t in tasks}
-            calls = [(futures[fut], fut.result)
-                     for fut in concurrent.futures.as_completed(futures)]
-    else:
-        calls = [(t, functools.partial(worker, t)) for t in tasks]
-    results, failures = [], []
-    for task, call in calls:
-        try:
-            results.append(call())
-        except Exception as exc:  # cell failure; batch continues
-            failures.append((task, str(exc)))
-    return results, failures
 
 
 def _write_records(path, records):
@@ -305,6 +282,15 @@ def cmd_switch(args):
         print("nothing to execute: give --plan or --from-analysis",
               file=sys.stderr)
         return 1
+    # one cell per grid target: two plans on it would pool under one label
+    seen = set()
+    for a1, a2, tau, f, d in plan_cells:
+        key = (a1, a2, DEFAULT_GRID.snap_exponent(tau), f, d)
+        if key in seen:
+            print(f"two {a1}>{a2} plans on F{f} {d}D put their switching "
+                  f"points on the same grid target {key[2]}", file=sys.stderr)
+            return 1
+        seen.add(key)
     # the static log is read before any run, so a bad path fails at once
     static_tables = None
     if args.logs:
@@ -382,34 +368,35 @@ def cmd_sweep_tau(args):
     outdir.mkdir(parents=True, exist_ok=True)
     a1, a2 = canonical_algorithm(args.a1), canonical_algorithm(args.a2)
     configs = _optimizer_configs(args, (a1, a2))
+    phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     if args.tau_exponents:
         exps = [float(x) for x in args.tau_exponents.split(",")]
     else:
-        phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
         exps = [e for e in DEFAULT_GRID.exponents if e > phi_exp]
     instances, runs = _instances_and_runs(args)
     problems = [
         instantiate(ProblemId(args.function, args.dim, i), args.suite_seed)
         for i in instances
     ]
-    rows, summary = sweep_tau(
+    records, summary = sweep_tau(
         configs[a1], configs[a2], problems, exps,
         runs_per_instance=runs, phi=args.phi,
         budget=args.budget_mult * args.dim, seed=args.seed,
         policy=_policy_from_args(args),
-        early_switch=not args.no_early_switch,
+        early_switch=not args.no_early_switch, jobs=args.jobs,
     )
     _write_table(outdir / "sweep_runs.tsv",
                  ["tau_exponent", "instance", "run_index", "hit_phi",
                   "evals_used", "success", "switch_eval"],
-                 [(r["tau_exponent"], r["instance"], r["run_index"],
-                   r["hit_phi"], r["evals_used"], int(r["success"]),
-                   r["switch_eval"]) for r in rows])
-    _write_table(outdir / "sweep_summary.tsv",
-                 ["tau_exponent", "mean", "std", "successes", "runs"],
-                 [(s["tau_exponent"], s["mean"], s["std"], s["successes"],
-                   s["runs"]) for s in summary])
-    _write_manifest(outdir, args, {"rows": len(rows)})
+                 [(DEFAULT_GRID.snap_exponent(r["tau"]), r["instance"],
+                   r["run_index"], r["hit_at"].get(phi_exp, math.inf),
+                   r["evals_used"], int(phi_exp in r["hit_at"]),
+                   r["switch_eval"]) for r in records])
+    _write_records(outdir / "sweep_runs.jsonl", records)
+    header = ["tau_exponent", "mean", "std", "successes", "runs", "ert"]
+    _write_table(outdir / "sweep_summary.tsv", header,
+                 [[s[h] for h in header] for s in summary])
+    _write_manifest(outdir, args, {"rows": len(records)})
     print(f"swept {len(exps)} switching points -> {outdir}")
     return 0
 
@@ -510,7 +497,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

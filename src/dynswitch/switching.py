@@ -9,11 +9,14 @@ strict no-switch semantics.
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import ert_curve
 from .optimizers import OptimizerConfig, drive, make_optimizer
 from .problems import ProblemInstance
 from .tracing import (
@@ -128,6 +131,33 @@ def run_switch(
     )
 
 
+def run_tasks(worker, tasks, jobs):
+    """Apply ``worker`` to every task, in a process pool when ``jobs > 1``.
+
+    Returns (results, failures) in task order; a task that raises is
+    reported as (task, message) and the batch continues.
+    """
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            calls = [pool.submit(worker, t).result for t in tasks]
+    else:
+        calls = [functools.partial(worker, t) for t in tasks]
+    results, failures = [], []
+    for task, call in zip(tasks, calls):
+        try:
+            results.append(call())
+        except Exception as exc:  # cell failure; batch continues
+            failures.append((task, str(exc)))
+    return results, failures
+
+
+def _sweep_run(budget, early_switch, task):
+    """Worker: one sweep run.  Top level so it pickles for the pool."""
+    plan, problem, seed, run = task
+    return run_switch(plan, problem, budget=budget, seed=seed, run_index=run,
+                      early_switch=early_switch).to_record()
+
+
 def sweep_tau(
     a1: OptimizerConfig,
     a2: OptimizerConfig,
@@ -139,13 +169,15 @@ def sweep_tau(
     seed: int = 0,
     policy: WarmStartPolicy = WarmStartPolicy(),
     early_switch: bool = True,
+    jobs: int = 1,
 ):
-    """Switching-point sensitivity sweep.
+    """Switching-point sensitivity sweep over ``jobs`` processes.
 
-    Runs ``runs_per_instance`` switch runs per (tau, problem instance) and
-    reports the hitting time at phi per run (evaluations consumed when phi
-    was never reached).  Returns (rows, summary): rows are dicts per run,
-    summary aggregates mean/std per tau, keyed by tau's grid exponent.
+    Runs ``runs_per_instance`` switch runs per (tau, problem instance).
+    Returns (records, summary): the switch run records in (tau, problem,
+    run) order, and per tau (keyed by its grid exponent) the mean/std of the
+    hitting time at phi (evaluations consumed when phi was missed) and the
+    ERT at phi.  Raises RuntimeError naming every run that raised.
     """
     plans = {}
     for tau_exp in tau_exponents:
@@ -156,32 +188,24 @@ def sweep_tau(
             raise ValueError(f"tau exponents {list(tau_exponents)} put two "
                              f"switching points on the same grid target {key}")
         plans[key] = plan
-    rows = []
-    for key, plan in plans.items():
-        for problem in problems:
-            for run in range(runs_per_instance):
-                run_seed = cell_seed("sweep", seed, key, problem.id.instance, run)
-                st = run_switch(plan, problem, budget=budget, seed=run_seed,
-                                run_index=run, early_switch=early_switch)
-                hit = st.trace.hitting_time(plan.phi)
-                rows.append({
-                    "tau_exponent": key,
-                    "instance": problem.id.instance,
-                    "run_index": run,
-                    "hit_phi": hit,
-                    "evals_used": st.trace.evals_used,
-                    "success": hit != float("inf"),
-                    "switch_eval": st.switch_eval,
-                })
+    tasks = [(plan, problem,
+              cell_seed("sweep", seed, key, problem.id.instance, run), run)
+             for key, plan in plans.items() for problem in problems
+             for run in range(runs_per_instance)]
+    records, failures = run_tasks(
+        functools.partial(_sweep_run, budget, early_switch), tasks, jobs)
+    if failures:
+        raise RuntimeError("\n  ".join(
+            [f"{len(failures)} of {len(tasks)} sweep runs failed:"]
+            + [f"tau {plan.tau:g} instance {problem.id.instance} run {run}: "
+               f"{message}" for (plan, problem, _, run), message in failures]))
+    phi_exp = DEFAULT_GRID.snap_exponent(phi)
     summary = []
-    for key in plans:
-        cell = [r for r in rows if r["tau_exponent"] == key]
-        costs = [r["hit_phi"] if r["success"] else r["evals_used"] for r in cell]
-        summary.append({
-            "tau_exponent": key,
-            "mean": float(np.mean(costs)),
-            "std": float(np.std(costs)),
-            "successes": sum(r["success"] for r in cell),
-            "runs": len(cell),
-        })
-    return rows, summary
+    for key, plan in plans.items():
+        cell = [r for r in records if r["tau"] == plan.tau]
+        costs = [r["hit_at"].get(phi_exp, r["evals_used"]) for r in cell]
+        ert, successes, runs = ert_curve(cell)[phi_exp]
+        summary.append({"tau_exponent": key, "mean": float(np.mean(costs)),
+                        "std": float(np.std(costs)), "successes": successes,
+                        "runs": runs, "ert": ert})
+    return records, summary

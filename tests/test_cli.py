@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from dynswitch import switching
 from dynswitch.cli import cell_seed, main
-from dynswitch.tracing import DEFAULT_GRID, load_records
+from dynswitch.tracing import DEFAULT_GRID, RunTrace, load_records
 
 
 def run_cli(*argv):
@@ -324,4 +325,79 @@ def test_sweep_tau_refuses_exponents_on_one_grid_point(tmp_path, capsys):
     ])
     assert code == 1
     assert "same grid target" in capsys.readouterr().err
+    assert not (out / "sweep_runs.tsv").exists()
+
+
+@pytest.mark.parametrize("plans", [
+    ["BFGS:CMA-ES:1e-2", "BFGS:CMA-ES:1.05e-2"],  # both snap to 10^-2
+    ["BFGS:CMA-ES:1e-2", "BFGS:CMA-ES:1e-2"],
+])
+def test_switch_refuses_plans_on_one_grid_cell(plans, tmp_path, capsys):
+    out = tmp_path / "switch"
+    code = main([
+        "switch", *(f"--plan={p}" for p in plans), "--functions", "1",
+        "--dims", "2", "--runs", "2", "--instances", "1",
+        "--budget-mult", "200", "--out", str(out),
+    ])
+    assert code == 1
+    assert "same grid target" in capsys.readouterr().err
+    assert not (out / "switch_runs.jsonl").exists()
+
+
+SMALL_SWEEP = ("sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function",
+               "1", "--dim", "2", "--tau-exponents", "1,0", "--runs", "2",
+               "--instances", "1,2", "--budget-mult", "200")
+
+
+def test_sweep_tau_jobs_write_the_same_bytes(tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([*SMALL_SWEEP, "--jobs", jobs, "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in (
+            "sweep_runs.tsv", "sweep_runs.jsonl", "sweep_summary.tsv")])
+    assert outputs[0] == outputs[1]
+    # the sweep's records are a run log that analyze reads
+    assert main(["analyze", "--logs", str(tmp_path / "jobs1" / "sweep_runs.jsonl"),
+                 "--out", str(tmp_path / "analysis")]) == 0
+
+
+def test_sweep_summary_ert_counts_failed_runs_once(tmp_path, monkeypatch):
+    # hand-built runs: run 0 reaches phi after 100 evaluations, run 1 fails
+    # after 300, so the ERT is 400/1 while the mean cost is 400/2
+    def fake_run_switch(plan, problem, budget=None, seed=0, run_index=0,
+                        early_switch=True):
+        trace = RunTrace(problem=problem.id, algorithm_label=plan.label(),
+                         run_index=run_index, budget=budget,
+                         evals_used=300 if run_index else 100)
+        if run_index == 0:
+            trace.hit_at = {e: 100 for e in DEFAULT_GRID.exponents}
+        return switching.SwitchTrace(trace, plan.tau, None, "target_hit", None)
+
+    monkeypatch.setattr(switching, "run_switch", fake_run_switch)
+    out = tmp_path / "sweep"
+    assert main([*SMALL_SWEEP, "--tau-exponents", "0", "--instances", "1",
+                 "--out", str(out)]) == 0
+    [row] = _report_rows(out / "sweep_summary.tsv")
+    assert (row["mean"], row["successes"], row["runs"], row["ert"]) == \
+        ("200.0", "1", "2", "400.0")
+
+
+def test_sweep_tau_names_every_failed_run(tmp_path, monkeypatch, capsys):
+    real_run_switch = switching.run_switch
+
+    def failing_run_switch(plan, *args, **kwargs):
+        if plan.tau == 1.0:
+            raise RuntimeError("boom")
+        return real_run_switch(plan, *args, **kwargs)
+
+    monkeypatch.setattr(switching, "run_switch", failing_run_switch)
+    out = tmp_path / "sweep"
+    assert main([*SMALL_SWEEP, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "4 of 8 sweep runs failed" in err
+    for instance in (1, 2):
+        for run in (0, 1):
+            assert f"tau 1 instance {instance} run {run}: boom" in err
+    assert "tau 10 " not in err
     assert not (out / "sweep_runs.tsv").exists()

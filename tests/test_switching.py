@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from dynswitch.optimizers import OptimizerConfig, run_single
 from dynswitch.problems import ProblemId, instantiate
-from dynswitch.switching import SwitchPlan, run_switch, sweep_tau
+from dynswitch.switching import SwitchPlan, run_switch, run_tasks, sweep_tau
 from dynswitch.tracing import DEFAULT_GRID, TERMINATED_TARGET
 
 
@@ -143,5 +145,21 @@ def test_sweep_tau_counts_every_run_that_reaches_off_grid_phi():
         runs_per_instance=5, phi=9e-8, budget=20_000, seed=0,
     )
     assert len(rows) == 30
-    assert all(r["success"] for r in rows)
+    assert all(DEFAULT_GRID.snap_exponent(9e-8) in r["hit_at"] for r in rows)
     assert [s["successes"] for s in summary] == [15, 15]
+
+
+def _slow_first(task):
+    # task 0 sleeps while the other worker finishes the rest, so tasks
+    # complete in another order than they were given
+    time.sleep(0.3 if task == 0 else 0.0)
+    if task in (2, 4):
+        raise RuntimeError(f"task {task} failed")
+    return task * 10
+
+
+def test_run_tasks_keeps_task_order_in_a_pool():
+    results, failures = run_tasks(_slow_first, list(range(6)), jobs=2)
+    assert results == [0, 10, 30, 50]
+    assert failures == [(2, "task 2 failed"), (4, "task 4 failed")]
+    assert run_tasks(_slow_first, list(range(6)), jobs=1) == (results, failures)
