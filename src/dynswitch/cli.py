@@ -54,7 +54,21 @@ def _parse_int_list(text, valid=None, what="value"):
         bad = [v for v in out if v not in valid]
         if bad:
             raise argparse.ArgumentTypeError(f"invalid {what}(s): {bad}")
-    return out
+    return _unique(out, what)
+
+
+def _parse_algorithms(text):
+    return _unique([canonical_algorithm(a) for a in text.split(",")],
+                   "algorithm")
+
+
+def _unique(values, what):
+    """``values``, refused if one repeats: it would pool copies of runs."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"duplicate {what}(s): {', '.join(map(str, repeated))}")
+    return values
 
 
 def _grid_target(text):
@@ -403,7 +417,8 @@ def cmd_sweep_tau(args):
 
 def _add_common(parser):
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--instances", type=lambda s: _parse_int_list(s),
+    parser.add_argument("--instances",
+                        type=lambda s: _parse_int_list(s, what="instance"),
                         default=[1, 2, 3, 4, 5])
     parser.add_argument("--budget-mult", type=int,
                         default=DEFAULT_BUDGET_MULTIPLIER)
@@ -443,14 +458,14 @@ def build_parser():
                                 parser_class=_Parser)
 
     p = sub.add_parser("bench", help="run the static portfolio grid")
-    p.add_argument("--algorithms",
-                   type=lambda s: [canonical_algorithm(a) for a in s.split(",")],
+    p.add_argument("--algorithms", type=_parse_algorithms,
                    default=list(DEFAULT_ALGORITHMS))
     p.add_argument("--functions",
                    type=lambda s: _parse_int_list(s, IMPLEMENTED_FUNCTIONS,
                                                   "function"),
                    default=list(IMPLEMENTED_FUNCTIONS))
-    p.add_argument("--dims", type=lambda s: _parse_int_list(s),
+    p.add_argument("--dims",
+                   type=lambda s: _parse_int_list(s, what="dimension"),
                    default=list(DEFAULT_DIMENSIONS))
     _add_common(p)
     p.set_defaults(func=cmd_bench)
@@ -470,7 +485,8 @@ def build_parser():
     p.add_argument("--functions",
                    type=lambda s: _parse_int_list(s, IMPLEMENTED_FUNCTIONS,
                                                   "function"))
-    p.add_argument("--dims", type=lambda s: _parse_int_list(s))
+    p.add_argument("--dims",
+                   type=lambda s: _parse_int_list(s, what="dimension"))
     _add_common(p)
     _add_warmstart(p)
     p.set_defaults(func=cmd_switch)

@@ -132,11 +132,13 @@ def run_switch(
 
 
 def run_tasks(worker, tasks, jobs):
-    """Apply ``worker`` to every task, in a process pool when ``jobs > 1``.
+    """Apply ``worker`` to every task, in a pool of up to ``jobs`` processes.
 
+    No pool is started for a single task, and no more processes than tasks.
     Returns (results, failures) in task order; a task that raises is
     reported as (task, message) and the batch continues.
     """
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             calls = [pool.submit(worker, t).result for t in tasks]

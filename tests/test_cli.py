@@ -401,3 +401,29 @@ def test_sweep_tau_names_every_failed_run(tmp_path, monkeypatch, capsys):
             assert f"tau 1 instance {instance} run {run}: boom" in err
     assert "tau 10 " not in err
     assert not (out / "sweep_runs.tsv").exists()
+
+
+@pytest.mark.parametrize("option, value, named", [
+    ("--algorithms", "BFGS,bfgs", "duplicate algorithm(s): BFGS"),
+    ("--functions", "1,8,1", "duplicate function(s): 1"),
+    ("--dims", "2-3,2", "duplicate dimension(s): 2"),
+    ("--instances", "1,1", "duplicate instance(s): 1"),
+])
+def test_bench_refuses_duplicate_list_entries(option, value, named, tmp_path,
+                                              capsys):
+    # each duplicate would run a copy of its cells and pool it with the first
+    args = {"--algorithms": "BFGS", "--functions": "1", "--dims": "2",
+            "--instances": "1", option: value}
+    out = tmp_path / "out"
+    assert run_cli("bench", *(a for kv in args.items() for a in kv),
+                   "--runs", "1", "--budget-mult", "50",
+                   "--out", str(out)) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_tau_refuses_duplicate_instances(tmp_path, capsys):
+    assert run_cli("sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS",
+                   "--function", "1", "--dim", "2", "--instances", "1-2,2",
+                   "--out", str(tmp_path / "out")) == 1
+    assert "duplicate instance(s): 2" in capsys.readouterr().err

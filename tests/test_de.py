@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from dynswitch.optimizers.de import De, crossover_mask
+from dynswitch.optimizers.de import (
+    De,
+    _decode,
+    _pcg64_draws,
+    _scalar_draws,
+    crossover_mask,
+)
 from dynswitch.tracing import BudgetedEvaluator, StopRun
 
 from conftest import FuncProblem
@@ -64,3 +70,89 @@ def test_convergence_flag_on_flat_population():
     opt = De(2, np.random.default_rng(0))
     opt.step(ev)
     assert opt.finished
+
+
+# --- one raw call per generation against numpy's trial-by-trial draws --------
+
+GUARD_SEEDS = range(300)
+GUARD_DIMS = (2, 3, 5, 10, 20, 40)
+GUARD_RATES = (0.0, 0.7, 1.0)
+# numpy's PCG64 multiplier: the next state is state * MULTIPLIER + inc
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _assert_same_draws(got, want):
+    assert got is not None
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", (4, 5, 10, 25, 50, 100, 200))
+def test_pcg64_draws_equal_the_scalar_draws(n):
+    # Pins the decoding to numpy's own choice/random/integers: a numpy that
+    # draws otherwise fails here instead of falling back or moving bits.
+    for seed in GUARD_SEEDS:
+        for d in GUARD_DIMS:
+            for rate in GUARD_RATES:
+                fast = np.random.default_rng(seed)
+                ref = np.random.default_rng(seed)
+                _assert_same_draws(_pcg64_draws(fast, n, d, rate),
+                                   _scalar_draws(ref, n, d, rate))
+                assert fast.bit_generator.state == ref.bit_generator.state
+                assert fast.random() == ref.random()
+
+
+def _pcg64_about_to_output(value):
+    """A PCG64 generator whose next raw output is ``value``."""
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    # a state with high word 0 outputs its low word unrotated
+    state["state"]["state"] = ((value - state["state"]["inc"])
+                               * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def _assert_falls_back(make_rng, n, d, prepare=lambda rng: None):
+    fast, ref = make_rng(), make_rng()
+    prepare(fast)
+    prepare(ref)
+    before = fast.bit_generator.state
+    assert _pcg64_draws(fast, n, d, 0.7) is None
+    np.testing.assert_equal(fast.bit_generator.state, before)
+    # De.step then draws the reference stream itself
+    _assert_same_draws(_scalar_draws(fast, n, d, 0.7),
+                       _scalar_draws(ref, n, d, 0.7))
+    np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+
+
+def test_pending_uint32_half_falls_back():
+    def draw_one_half(rng):
+        rng.integers(5)
+        assert rng.bit_generator.state["has_uint32"]
+
+    _assert_falls_back(lambda: np.random.default_rng(3), 10, 5, draw_one_half)
+
+
+def test_other_bit_generator_falls_back():
+    _assert_falls_back(lambda: np.random.Generator(np.random.MT19937(3)), 10, 5)
+
+
+def test_one_dimension_falls_back():
+    # integers(1) draws nothing, so trials would not start on a fresh output
+    _assert_falls_back(lambda: np.random.default_rng(3), 5, 1)
+
+
+def test_decode_refuses_a_draw_numpy_would_redraw():
+    n, d = 5, 3
+    raw = np.random.default_rng(0).bit_generator.random_raw(n * (d + 2))
+    assert _decode(raw, n, d, 0.7) is not None
+    # low half 0 over r = n - 2 = 3: low word 0 < 2**32 % 3, so redrawn
+    raw[0] = raw[0] & np.uint64(0xFFFFFFFF00000000)
+    assert _decode(raw, n, d, 0.7) is None
+
+
+def test_forced_rejection_restores_the_generator():
+    rng = _pcg64_about_to_output(0)
+    assert rng.bit_generator.random_raw() == 0
+    _assert_falls_back(lambda: _pcg64_about_to_output(0), 5, 3)

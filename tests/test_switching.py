@@ -1,8 +1,10 @@
+import concurrent.futures
 import time
 
 import numpy as np
 import pytest
 
+from dynswitch import switching
 from dynswitch.optimizers import OptimizerConfig, run_single
 from dynswitch.problems import ProblemId, instantiate
 from dynswitch.switching import SwitchPlan, run_switch, run_tasks, sweep_tau
@@ -163,3 +165,20 @@ def test_run_tasks_keeps_task_order_in_a_pool():
     assert results == [0, 10, 30, 50]
     assert failures == [(2, "task 2 failed"), (4, "task 4 failed")]
     assert run_tasks(_slow_first, list(range(6)), jobs=1) == (results, failures)
+
+
+def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(switching.concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    assert run_tasks(abs, [-1, -2, -3], jobs=8) == ([1, 2, 3], [])
+    assert run_tasks(abs, [-1, -2, -3], jobs=2) == ([1, 2, 3], [])
+    assert run_tasks(abs, [-4], jobs=8) == ([4], [])
+    assert run_tasks(abs, [], jobs=8) == ([], [])
+    assert started == [3, 2]
