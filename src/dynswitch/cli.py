@@ -25,7 +25,9 @@ from .analysis import (
 )
 from .optimizers import OptimizerConfig, canonical_algorithm, run_single
 from .problems import IMPLEMENTED_FUNCTIONS, ProblemId, instantiate
-from .switching import SwitchPlan, cell_seed, run_switch, run_tasks, sweep_tau
+# run_switch stays bound here: the benchmark's tracer patches it by this name
+from .switching import (SwitchPlan, cell_seed, run_switch, run_switch_tasks,
+                        run_tasks, sweep_tau)
 from .tracing import (
     DEFAULT_BUDGET_MULTIPLIER,
     DEFAULT_FINAL_TARGET,
@@ -39,7 +41,15 @@ DEFAULT_ALGORITHMS = ("BFGS", "MLSL", "PSO", "CMA-ES", "DE")
 DEFAULT_DIMENSIONS = (2, 3, 5, 10, 20)
 
 
-def _parse_int_list(text, valid=None, what="value"):
+def _count(text, minimum=1):
+    """An int of at least ``minimum``: a count, an instance or a dimension."""
+    value = int(text)
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _parse_int_list(text, what, minimum=1, valid=None):
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -47,9 +57,9 @@ def _parse_int_list(text, valid=None, what="value"):
             continue
         if "-" in chunk and not chunk.startswith("-"):
             lo, hi = chunk.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_count(lo, minimum), int(hi) + 1))
         else:
-            out.append(int(chunk))
+            out.append(_count(chunk, minimum))
     if valid is not None:
         bad = [v for v in out if v not in valid]
         if bad:
@@ -58,8 +68,11 @@ def _parse_int_list(text, valid=None, what="value"):
 
 
 def _parse_algorithms(text):
-    return _unique([canonical_algorithm(a) for a in text.split(",")],
-                   "algorithm")
+    try:
+        names = [canonical_algorithm(a) for a in text.split(",")]
+    except ValueError as exc:  # argparse would print only "invalid value"
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _unique(names, "algorithm")
 
 
 def _unique(values, what):
@@ -73,7 +86,10 @@ def _unique(values, what):
 
 def _grid_target(text):
     """--phi: the grid target nearest to the precision given."""
-    return DEFAULT_GRID.snap(float(text))
+    try:
+        return DEFAULT_GRID.snap(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _optimizer_configs(args, algorithms):
@@ -111,18 +127,6 @@ def _bench_cell(args, configs, cell):
     return trace.to_record()
 
 
-def _switch_cell(args, plans, cell):
-    """Worker: one dynamic (switch) run."""
-    a1, a2, tau, function_id, dim, instance, run = cell
-    problem = instantiate(ProblemId(function_id, dim, instance), args.suite_seed)
-    st = run_switch(
-        plans[a1, a2, tau], problem, budget=args.budget_mult * dim,
-        seed=cell_seed(args.seed, "switch", *cell), run_index=run,
-        early_switch=not args.no_early_switch,
-    )
-    return st.to_record()
-
-
 def _write_records(path, records):
     # deterministic order regardless of worker scheduling
     records = sorted(
@@ -133,11 +137,6 @@ def _write_records(path, records):
     with open(path, "w") as fh:
         for rec in records:
             fh.write(record_to_json(rec) + "\n")
-
-
-def _report_failures(failures):
-    for cell, message in failures:
-        print(f"FAILED {cell}: {message}", file=sys.stderr)
 
 
 def _write_manifest(outdir, args, extra=None):
@@ -172,7 +171,8 @@ def cmd_bench(args):
             cell[0] += 1
     for (label, f, d), (succ, total) in sorted(summary.items()):
         print(f"{label:8s} F{f:<3d} {d:>2d}D  {succ}/{total} successes")
-    _report_failures(failures)
+    for cell, message in failures:
+        print(f"FAILED {cell}: {message}", file=sys.stderr)
     print(f"wrote {len(records)} records to {outdir / 'runs.jsonl'}")
     return 2 if failures else 0
 
@@ -296,15 +296,6 @@ def cmd_switch(args):
         print("nothing to execute: give --plan or --from-analysis",
               file=sys.stderr)
         return 1
-    # one cell per grid target: two plans on it would pool under one label
-    seen = set()
-    for a1, a2, tau, f, d in plan_cells:
-        key = (a1, a2, DEFAULT_GRID.snap_exponent(tau), f, d)
-        if key in seen:
-            print(f"two {a1}>{a2} plans on F{f} {d}D put their switching "
-                  f"points on the same grid target {key[2]}", file=sys.stderr)
-            return 1
-        seen.add(key)
     # the static log is read before any run, so a bad path fails at once
     static_tables = None
     if args.logs:
@@ -329,17 +320,18 @@ def cmd_switch(args):
     configs = _optimizer_configs(
         args, {a for a1, a2, *_ in plan_cells for a in (a1, a2)})
     policy = _policy_from_args(args)
-    switch_plans = {
-        (a1, a2, tau): SwitchPlan(a1=configs[a1], a2=configs[a2], tau=tau,
-                                  phi=args.phi, policy=policy)
-        for a1, a2, tau, _, _ in plan_cells
-    }
+    switch_cells = [(SwitchPlan(a1=configs[a1], a2=configs[a2], tau=tau,
+                                phi=args.phi, policy=policy), a1, a2, tau, f, d)
+                    for a1, a2, tau, f, d in plan_cells]
     instances, runs = _instances_and_runs(args)
-    cells = [(a1, a2, tau, f, d, inst, run)
-             for a1, a2, tau, f, d in plan_cells
-             for inst in instances for run in range(runs)]
-    worker = functools.partial(_switch_cell, args, switch_plans)
-    records, failures = run_tasks(worker, cells, args.jobs)
+    problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
+                for *_, f, d in plan_cells for i in instances}
+    tasks = [(plan, problems[f, d, i], args.budget_mult * d,
+              cell_seed(args.seed, "switch", a1, a2, tau, f, d, i, run), run)
+             for plan, a1, a2, tau, f, d in switch_cells
+             for i in instances for run in range(runs)]
+    records, failures = run_switch_tasks(tasks, not args.no_early_switch,
+                                         args.jobs)
     _write_records(outdir / "switch_runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
 
@@ -347,8 +339,7 @@ def cmd_switch(args):
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     switch_tables = build_ert_tables(records)
     rows = []
-    for a1, a2, tau, f, d in plan_cells:
-        plan = switch_plans[a1, a2, tau]
+    for plan, a1, a2, _, f, d in switch_cells:
         curve = switch_tables.get((plan.label(), f, d))
         actual = curve[phi_exp][0] if curve else math.inf
         static_val = theoretical = ""
@@ -359,9 +350,7 @@ def cmd_switch(args):
                 static_val = min(c[phi_exp][0] for c in cell.values())
                 if a1 in cell and a2 in cell:
                     theoretical = theoretical_performance(
-                        cell[a1], cell[a2],
-                        DEFAULT_GRID.snap_exponent(plan.tau), phi_exp,
-                    )
+                        cell[a1], cell[a2], plan.tau_exponent, phi_exp)
         row_gains = ("", "", "")
         if static_val != "" and theoretical != "" and math.isfinite(static_val):
             row_gains = gains(static_val, theoretical, actual)
@@ -372,7 +361,8 @@ def cmd_switch(args):
                   "static_ert", "theoretical_ert", "actual_ert",
                   "theoretical_gain", "actual_gain", "actual_vs_theoretical"],
                  rows)
-    _report_failures(failures)
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
     print(f"executed {len(records)} switch runs -> {outdir}")
     return 2 if failures else 0
 
@@ -416,11 +406,10 @@ def cmd_sweep_tau(args):
 
 
 def _add_common(parser):
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--instances",
-                        type=lambda s: _parse_int_list(s, what="instance"),
+    parser.add_argument("--runs", type=_count, default=5)
+    parser.add_argument("--instances", type=lambda s: _parse_int_list(s, "instance"),
                         default=[1, 2, 3, 4, 5])
-    parser.add_argument("--budget-mult", type=int,
+    parser.add_argument("--budget-mult", type=_count,
                         default=DEFAULT_BUDGET_MULTIPLIER)
     parser.add_argument("--phi", type=_grid_target, default=DEFAULT_FINAL_TARGET)
     parser.add_argument("--seed", type=int, default=0)
@@ -461,11 +450,10 @@ def build_parser():
     p.add_argument("--algorithms", type=_parse_algorithms,
                    default=list(DEFAULT_ALGORITHMS))
     p.add_argument("--functions",
-                   type=lambda s: _parse_int_list(s, IMPLEMENTED_FUNCTIONS,
-                                                  "function"),
+                   type=lambda s: _parse_int_list(s, "function",
+                                                  valid=IMPLEMENTED_FUNCTIONS),
                    default=list(IMPLEMENTED_FUNCTIONS))
-    p.add_argument("--dims",
-                   type=lambda s: _parse_int_list(s, what="dimension"),
+    p.add_argument("--dims", type=lambda s: _parse_int_list(s, "dimension", 2),
                    default=list(DEFAULT_DIMENSIONS))
     _add_common(p)
     p.set_defaults(func=cmd_bench)
@@ -483,10 +471,9 @@ def build_parser():
                    help="directory with vbs_report.tsv")
     p.add_argument("--logs", help="static run log for the comparison report")
     p.add_argument("--functions",
-                   type=lambda s: _parse_int_list(s, IMPLEMENTED_FUNCTIONS,
-                                                  "function"))
-    p.add_argument("--dims",
-                   type=lambda s: _parse_int_list(s, what="dimension"))
+                   type=lambda s: _parse_int_list(s, "function",
+                                                  valid=IMPLEMENTED_FUNCTIONS))
+    p.add_argument("--dims", type=lambda s: _parse_int_list(s, "dimension", 2))
     _add_common(p)
     _add_warmstart(p)
     p.set_defaults(func=cmd_switch)
@@ -495,7 +482,7 @@ def build_parser():
     p.add_argument("--a1", required=True)
     p.add_argument("--a2", required=True)
     p.add_argument("--function", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=lambda s: _count(s, 2), required=True)
     p.add_argument("--tau-exponents",
                    help="comma-separated exponents, snapped to the grid; "
                         "default: full grid")

@@ -61,12 +61,8 @@ class OptimizerConfig:
         object.__setattr__(self, "algorithm", canonical_algorithm(self.algorithm))
 
 
-def make_optimizer(config: OptimizerConfig, dim: int, rng, budget=None):
-    cls = ALGORITHMS[config.algorithm]
-    kwargs = dict(config.overrides)
-    if config.algorithm == "MLSL" and budget is not None and "budget" not in kwargs:
-        kwargs["budget"] = budget
-    return cls(dim, rng, **kwargs)
+def make_optimizer(config: OptimizerConfig, dim: int, rng):
+    return ALGORITHMS[config.algorithm](dim, rng, **config.overrides)
 
 
 def drive(optimizer, ev: BudgetedEvaluator) -> str:
@@ -99,6 +95,6 @@ def run_single(
         algorithm_label=label or config.algorithm, run_index=run_index,
     )
     rng = np.random.default_rng(seed)
-    optimizer = make_optimizer(config, dim, rng, budget=budget)
+    optimizer = make_optimizer(config, dim, rng)
     ev.trace.terminated_reason = drive(optimizer, ev)
     return ev.trace

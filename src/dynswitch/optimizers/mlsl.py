@@ -68,27 +68,20 @@ def critical_distance(dim, total_samples, sigma=SIGMA_PARAMETER):
 class Mlsl(Optimizer):
     name = "MLSL"
 
-    def __init__(self, dim, rng, budget=None, population_size=None,
+    def __init__(self, dim, rng, population_size=None,
                  reduced_fraction=REDUCED_FRACTION,
                  local_budget_fraction=LOCAL_BUDGET_FRACTION,
                  f_tol=POWELL_F_TOL):
         super().__init__(dim, rng)
         self.population_size = population_size or POPULATION_MULTIPLIER * dim
         self.reduced_fraction = reduced_fraction
+        self.local_budget_fraction = local_budget_fraction
         self.f_tol = f_tol
-        self.local_search_cap = (
-            None if budget is None else max(1, int(local_budget_fraction * budget))
-        )
         self.sample_points = np.empty((0, dim))
         self.sample_values = np.empty(0)
         self.started = set()           # indices local searches started from
         self.minima = []               # (point, value) found by local search
         self.level = 0
-
-    def _local_cap(self, ev):
-        if self.local_search_cap is not None:
-            return self.local_search_cap
-        return max(1, int(LOCAL_BUDGET_FRACTION * ev.budget))
 
     def step(self, ev):
         if self.finished:
@@ -111,6 +104,7 @@ class Mlsl(Optimizer):
         known_values = (
             np.array([m[1] for m in self.minima]) if self.minima else None
         )
+        local_cap = max(1, int(self.local_budget_fraction * ev.budget))
         for idx in reduced:
             if int(idx) in self.started:
                 continue
@@ -125,7 +119,7 @@ class Mlsl(Optimizer):
                 continue
             self.started.add(int(idx))
             bx, bf = powell_minimize(ev, x, f_tol=self.f_tol,
-                                     max_evals=self._local_cap(ev))
+                                     max_evals=local_cap)
             self.minima.append((bx, bf))
             known_points = np.array([m[0] for m in self.minima])
             known_values = np.array([m[1] for m in self.minima])

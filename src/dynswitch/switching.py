@@ -58,6 +58,11 @@ class SwitchPlan:
                 f"need tau > phi > 0, got tau={self.tau}, phi={self.phi}"
             )
 
+    @property
+    def tau_exponent(self) -> float:
+        """Grid exponent of tau: where the ERT tables read it."""
+        return DEFAULT_GRID.snap_exponent(self.tau)
+
     def label(self) -> str:
         return f"{self.a1.algorithm}>{self.a2.algorithm}@{self.tau:.6g}"
 
@@ -96,7 +101,7 @@ def run_switch(
         algorithm_label=plan.label(), run_index=run_index,
     )
     rng1 = np.random.default_rng(seed)
-    a1 = make_optimizer(plan.a1, dim, rng1, budget=budget)
+    a1 = make_optimizer(plan.a1, dim, rng1)
     phase1_reason = drive(a1, ev)
 
     switch_eval = None
@@ -112,7 +117,7 @@ def run_switch(
         rng2 = np.random.default_rng([seed, A2_SEED_SALT])
         a2 = apply_warmstart(
             ws, plan.a1.algorithm, plan.a2.algorithm, plan.policy, rng2,
-            budget=budget, overrides=plan.a2.overrides,
+            overrides=plan.a2.overrides,
         )
         ev.stop_target = plan.phi
         if ev.best_precision <= plan.phi:
@@ -153,11 +158,36 @@ def run_tasks(worker, tasks, jobs):
     return results, failures
 
 
-def _sweep_run(budget, early_switch, task):
-    """Worker: one sweep run.  Top level so it pickles for the pool."""
-    plan, problem, seed, run = task
+def _switch_task(early_switch, task):
+    """Worker: one switch run.  Top level so it pickles for the pool."""
+    plan, problem, budget, seed, run = task
     return run_switch(plan, problem, budget=budget, seed=seed, run_index=run,
                       early_switch=early_switch).to_record()
+
+
+def run_switch_tasks(tasks, early_switch=True, jobs=1):
+    """Run tasks ``(plan, problem, budget, seed, run)`` over ``jobs`` processes.
+
+    First refuses two tasks of one plan label, problem and run: their
+    records would pool.  Returns (records, failures) in task order, each
+    failure one line naming its run.
+    """
+    seen = set()
+    for plan, problem, *_, run in tasks:
+        key = (plan.label(), problem.id, run)
+        if key in seen:
+            raise ValueError(
+                f"two {plan.a1.algorithm}>{plan.a2.algorithm} plans on "
+                f"F{problem.id.function_id} {problem.id.dimension}D put their "
+                f"switching points on the same grid target {plan.tau_exponent}")
+        seen.add(key)
+    records, failures = run_tasks(
+        functools.partial(_switch_task, early_switch), tasks, jobs)
+    return records, [
+        f"{plan.a1.algorithm}>{plan.a2.algorithm} F{problem.id.function_id} "
+        f"{problem.id.dimension}D tau {plan.tau:g} instance "
+        f"{problem.id.instance} run {run}: {message}"
+        for (plan, problem, *_, run), message in failures]
 
 
 def sweep_tau(
@@ -181,33 +211,25 @@ def sweep_tau(
     hitting time at phi (evaluations consumed when phi was missed) and the
     ERT at phi.  Raises RuntimeError naming every run that raised.
     """
-    plans = {}
-    for tau_exp in tau_exponents:
-        plan = SwitchPlan(a1=a1, a2=a2, tau=10.0 ** tau_exp, phi=phi,
-                          policy=policy)
-        key = DEFAULT_GRID.snap_exponent(plan.tau)
-        if key in plans:
-            raise ValueError(f"tau exponents {list(tau_exponents)} put two "
-                             f"switching points on the same grid target {key}")
-        plans[key] = plan
-    tasks = [(plan, problem,
-              cell_seed("sweep", seed, key, problem.id.instance, run), run)
-             for key, plan in plans.items() for problem in problems
+    plans = [SwitchPlan(a1=a1, a2=a2, tau=10.0 ** tau_exp, phi=phi,
+                        policy=policy) for tau_exp in tau_exponents]
+    tasks = [(plan, problem, budget,
+              cell_seed("sweep", seed, plan.tau_exponent, problem.id.instance,
+                        run), run)
+             for plan in plans for problem in problems
              for run in range(runs_per_instance)]
-    records, failures = run_tasks(
-        functools.partial(_sweep_run, budget, early_switch), tasks, jobs)
+    records, failures = run_switch_tasks(tasks, early_switch, jobs)
     if failures:
         raise RuntimeError("\n  ".join(
-            [f"{len(failures)} of {len(tasks)} sweep runs failed:"]
-            + [f"tau {plan.tau:g} instance {problem.id.instance} run {run}: "
-               f"{message}" for (plan, problem, _, run), message in failures]))
+            [f"{len(failures)} of {len(tasks)} sweep runs failed:", *failures]))
     phi_exp = DEFAULT_GRID.snap_exponent(phi)
     summary = []
-    for key, plan in plans.items():
+    for plan in plans:
         cell = [r for r in records if r["tau"] == plan.tau]
         costs = [r["hit_at"].get(phi_exp, r["evals_used"]) for r in cell]
         ert, successes, runs = ert_curve(cell)[phi_exp]
-        summary.append({"tau_exponent": key, "mean": float(np.mean(costs)),
+        summary.append({"tau_exponent": plan.tau_exponent,
+                        "mean": float(np.mean(costs)),
                         "std": float(np.std(costs)), "successes": successes,
                         "runs": runs, "ert": ert})
     return records, summary

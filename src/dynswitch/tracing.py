@@ -54,7 +54,7 @@ class TargetGrid:
     def snap_exponent(self, value: float) -> float:
         """Exponent of the grid target nearest to ``value`` (a precision)."""
         if value <= 0:
-            raise ValueError("precision targets must be positive")
+            raise ValueError(f"precision targets must be positive, got {value}")
         e = math.log10(value)
         return min(self.exponents, key=lambda g: (abs(g - e), -g))
 

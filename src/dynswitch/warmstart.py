@@ -199,16 +199,15 @@ def warmstart_cmaes_from_mlsl(ws: WarmStartState, rng, overrides=None) -> Cmaes:
 
 
 def warmstart_generic(ws: WarmStartState, target: str,
-                      policy: WarmStartPolicy, rng, budget=None, overrides=None):
+                      policy: WarmStartPolicy, rng, overrides=None):
     """Fallback transfer for pairs without a dedicated procedure."""
     dim = ws.best_point.size
     if target == "BFGS":
         return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy())
     if target == "MLSL":
         # a fresh sampler, pre-seeded with the predecessor's best point so
-        # the reduced-set logic is aware of it; a configured budget wins,
-        # as in make_optimizer
-        opt = Mlsl(dim, rng, **{"budget": budget, **(overrides or {})})
+        # the reduced-set logic is aware of it
+        opt = _construct(Mlsl, dim, rng, overrides)
         opt.sample_points = np.array([ws.best_point], dtype=float)
         opt.sample_values = np.array([ws.best_value], dtype=float)
         return opt
@@ -243,7 +242,7 @@ def warmstart_generic(ws: WarmStartState, target: str,
 
 
 def apply_warmstart(ws: WarmStartState, source: str, target: str,
-                    policy: WarmStartPolicy, rng, budget=None, overrides=None):
+                    policy: WarmStartPolicy, rng, overrides=None):
     """Dispatch to the pair-specific procedure, else the generic fallback.
 
     ``overrides`` are A2's constructor overrides (``OptimizerConfig``); the
@@ -258,5 +257,4 @@ def apply_warmstart(ws: WarmStartState, source: str, target: str,
         return warmstart_population_from_mlsl(ws, policy, target, rng, overrides)
     if source == "MLSL" and target == "CMA-ES":
         return warmstart_cmaes_from_mlsl(ws, rng, overrides)
-    return warmstart_generic(ws, target, policy, rng, budget=budget,
-                             overrides=overrides)
+    return warmstart_generic(ws, target, policy, rng, overrides)

@@ -403,6 +403,63 @@ def test_sweep_tau_names_every_failed_run(tmp_path, monkeypatch, capsys):
     assert not (out / "sweep_runs.tsv").exists()
 
 
+def test_switch_reports_each_failed_run_on_one_line(tmp_path, monkeypatch,
+                                                   capsys):
+    real_run_switch = switching.run_switch
+
+    def failing_run_switch(*args, run_index=0, **kwargs):
+        if run_index == 1:
+            raise RuntimeError("boom")
+        return real_run_switch(*args, run_index=run_index, **kwargs)
+
+    monkeypatch.setattr(switching, "run_switch", failing_run_switch)
+    out = tmp_path / "switch"
+    assert main(["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "1",
+                 "--dims", "2", "--runs", "2", "--instances", "1",
+                 "--budget-mult", "200", "--out", str(out)]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert failed == ["FAILED BFGS>CMA-ES F1 2D tau 1 instance 1 run 1: boom"]
+    records, _ = load_records(out / "switch_runs.jsonl")
+    assert [r["run_index"] for r in records] == [0]
+
+
+SMALL_COMMANDS = {
+    "bench": {"--algorithms": "BFGS", "--functions": "1", "--dims": "2"},
+    "switch": {"--plan": "BFGS:CMA-ES:1", "--functions": "1", "--dims": "2"},
+    "sweep-tau": {"--a1": "BFGS", "--a2": "CMA-ES", "--function": "1",
+                  "--dim": "2", "--tau-exponents": "0"},
+}
+
+
+@pytest.mark.parametrize("command, option, value, named", [
+    *((command, option, value, named)
+      for command in SMALL_COMMANDS for option, value, named in (
+          ("--runs", "0", "--runs: must be >= 1, got 0"),
+          ("--runs", "-1", "--runs: must be >= 1, got -1"),
+          ("--budget-mult", "0", "--budget-mult: must be >= 1, got 0"),
+          ("--instances", "0", "--instances: must be >= 1, got 0"),
+      )),
+    ("bench", "--dims", "0", "--dims: must be >= 2, got 0"),
+    ("bench", "--dims", "2,1", "--dims: must be >= 2, got 1"),
+    ("bench", "--dims", "1-3", "--dims: must be >= 2, got 1"),
+    ("switch", "--dims", "1", "--dims: must be >= 2, got 1"),
+    ("sweep-tau", "--dim", "1", "--dim: must be >= 2, got 1"),
+    ("bench", "--algorithms", "BFGS,foo", "unknown algorithm 'foo'"),
+    ("bench", "--phi", "0", "--phi: precision targets must be positive"),
+])
+def test_usage_errors_name_the_bad_value(command, option, value, named,
+                                         tmp_path, capsys):
+    # refused while parsing: no run starts and no output directory appears
+    args = {**SMALL_COMMANDS[command], "--instances": "1", "--runs": "1",
+            "--budget-mult": "50", option: value}
+    out = tmp_path / "out"
+    assert run_cli(command, *(a for kv in args.items() for a in kv),
+                   "--out", str(out)) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value, named", [
     ("--algorithms", "BFGS,bfgs", "duplicate algorithm(s): BFGS"),
     ("--functions", "1,8,1", "duplicate function(s): 1"),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dynswitch.optimizers import OptimizerConfig, make_optimizer, mlsl
 from dynswitch.optimizers.mlsl import Mlsl, critical_distance, powell_minimize
 from dynswitch.tracing import BudgetedEvaluator, StopRun
+from dynswitch.warmstart import WarmStartPolicy, WarmStartState, apply_warmstart
 
 from conftest import FuncProblem
 
@@ -74,7 +76,7 @@ def start_rule_oracle(points, values, minima_values_in_order, r_k, n_reduced):
 def test_first_level_start_rule_matches_oracle():
     problem = FuncProblem(lambda x: float(np.sum(x * x)), 2)
     ev = BudgetedEvaluator(problem, 100_000, stop_target=0.0)
-    opt = Mlsl(2, np.random.default_rng(9), budget=100_000)
+    opt = Mlsl(2, np.random.default_rng(9))
     opt.step(ev)
     n = 100
     points = opt.sample_points[:n]
@@ -97,7 +99,7 @@ def test_two_basin_function_starts_multiple_searches():
 
     problem = FuncProblem(f, 2)
     ev = BudgetedEvaluator(problem, 200_000, stop_target=0.0)
-    opt = Mlsl(2, np.random.default_rng(1), budget=200_000)
+    opt = Mlsl(2, np.random.default_rng(1))
     try:
         for _ in range(4):
             opt.step(ev)
@@ -110,7 +112,7 @@ def test_two_basin_function_starts_multiple_searches():
 
 def test_solves_sphere_instance(sphere_problem):
     ev = BudgetedEvaluator(sphere_problem, 20_000, stop_target=1e-8)
-    opt = Mlsl(2, np.random.default_rng(3), budget=20_000)
+    opt = Mlsl(2, np.random.default_rng(3))
     try:
         while not opt.finished:
             opt.step(ev)
@@ -119,13 +121,40 @@ def test_solves_sphere_instance(sphere_problem):
     assert ev.trace.best_precision <= 1e-8
 
 
-def test_local_search_cap_is_fraction_of_budget():
-    opt = Mlsl(2, np.random.default_rng(0), budget=4000)
-    assert opt.local_search_cap == 400
+def _local_caps(monkeypatch, opt):
+    """``max_evals`` of every local search ``opt`` starts in one step under
+    a 4000-evaluation evaluator."""
+    caps = []
+
+    def fake_powell(fun, x0, f_tol, max_evals):
+        caps.append(max_evals)
+        return x0, fun(x0)
+
+    monkeypatch.setattr(mlsl, "powell_minimize", fake_powell)
+    problem = FuncProblem(lambda x: 1.0 + float(np.sum(x * x)), 2)
+    opt.step(BudgetedEvaluator(problem, 4000, stop_target=0.0))
+    assert caps
+    return caps
+
+
+def test_local_search_cap_is_fraction_of_budget(monkeypatch):
+    static = make_optimizer(OptimizerConfig("MLSL"), 2,
+                            np.random.default_rng(0))
+    ws = WarmStartState(best_point=np.array([1.0, -2.0]), best_value=3.0,
+                        evaluations_spent=9)
+    switched = apply_warmstart(ws, "CMA-ES", "MLSL", WarmStartPolicy(),
+                               np.random.default_rng(0))
+    for opt in (static, switched):
+        assert set(_local_caps(monkeypatch, opt)) == {400}
+
+
+def test_local_budget_fraction_override_sets_the_cap(monkeypatch):
+    opt = Mlsl(2, np.random.default_rng(0), local_budget_fraction=0.05)
+    assert set(_local_caps(monkeypatch, opt)) == {200}
 
 
 def test_best_property_covers_samples_and_minima():
-    opt = Mlsl(2, np.random.default_rng(0), budget=1000)
+    opt = Mlsl(2, np.random.default_rng(0))
     opt.sample_points = np.array([[1.0, 1.0], [2.0, 2.0]])
     opt.sample_values = np.array([5.0, 3.0])
     opt.minima = [(np.array([0.5, 0.5]), 4.0)]

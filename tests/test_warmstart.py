@@ -64,7 +64,7 @@ def test_extract_requires_evaluations():
 ])
 def test_extract_carries_algorithm_fields(cls, fields):
     rng = np.random.default_rng(0)
-    opt = cls(2, rng, budget=2000) if cls is Mlsl else cls(2, rng)
+    opt = cls(2, rng)
     ev = run_a_little(opt, sphere(), steps=3)
     ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
     for f in fields:
@@ -234,10 +234,9 @@ def test_generic_transfer_into_mlsl_seeds_best_point():
     ws = WarmStartState(best_point=np.array([1.0, -2.0]), best_value=3.0,
                         evaluations_spent=9)
     opt = apply_warmstart(ws, "CMA-ES", "MLSL", default_policy(),
-                          np.random.default_rng(0), budget=4000)
+                          np.random.default_rng(0))
     assert np.array_equal(opt.sample_points, [[1.0, -2.0]])
     assert opt.sample_values[0] == 3.0
-    assert opt.local_search_cap == 400
 
 
 def test_no_evaluations_during_transfer():
