@@ -67,12 +67,22 @@ def _parse_int_list(text, what, minimum=1, valid=None):
     return _unique(out, what)
 
 
-def _parse_algorithms(text):
+def _algorithm(text):
     try:
-        names = [canonical_algorithm(a) for a in text.split(",")]
+        return canonical_algorithm(text)
     except ValueError as exc:  # argparse would print only "invalid value"
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return _unique(names, "algorithm")
+
+
+def _parse_algorithms(text):
+    return _unique([_algorithm(a) for a in text.split(",")], "algorithm")
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 def _unique(values, what):
@@ -149,14 +159,14 @@ def _write_manifest(outdir, args, extra=None):
 
 
 def cmd_bench(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     instances, runs = _instances_and_runs(args)
     cells = [(a, f, d, inst, run) for a in args.algorithms
              for f in args.functions for d in args.dims
              for inst in instances for run in range(runs)]
     worker = functools.partial(_bench_cell, args,
                                _optimizer_configs(args, args.algorithms))
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     records, failures = run_tasks(worker, cells, args.jobs)
     _write_records(outdir / "runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
@@ -207,11 +217,11 @@ def _read_log(path):
 
 
 def cmd_analyze(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     records = _read_log(args.logs)
     if records is None:
         return 1
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     tables = build_ert_tables(records)
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     rows = []
@@ -259,14 +269,11 @@ def _parse_plan(text):
         raise argparse.ArgumentTypeError(
             f"plan must look like A1:A2:TAU, got {text!r}"
         )
-    return (canonical_algorithm(parts[0]), canonical_algorithm(parts[1]),
-            float(parts[2]))
+    return _algorithm(parts[0]), _algorithm(parts[1]), _float(parts[2])
 
 
 def cmd_switch(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    plans = [_parse_plan(p) for p in (args.plan or [])]
+    plans = args.plan or []
     plan_cells = []  # (a1, a2, tau, f, d)
     if args.from_analysis:
         vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
@@ -330,6 +337,8 @@ def cmd_switch(args):
               cell_seed(args.seed, "switch", a1, a2, tau, f, d, i, run), run)
              for plan, a1, a2, tau, f, d in switch_cells
              for i in instances for run in range(runs)]
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     records, failures = run_switch_tasks(tasks, not args.no_early_switch,
                                          args.jobs)
     _write_records(outdir / "switch_runs.jsonl", records)
@@ -368,22 +377,19 @@ def cmd_switch(args):
 
 
 def cmd_sweep_tau(args):
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    a1, a2 = canonical_algorithm(args.a1), canonical_algorithm(args.a2)
-    configs = _optimizer_configs(args, (a1, a2))
+    configs = _optimizer_configs(args, (args.a1, args.a2))
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
-    if args.tau_exponents:
-        exps = [float(x) for x in args.tau_exponents.split(",")]
-    else:
-        exps = [e for e in DEFAULT_GRID.exponents if e > phi_exp]
+    exps = args.tau_exponents or [e for e in DEFAULT_GRID.exponents
+                                  if e > phi_exp]
     instances, runs = _instances_and_runs(args)
     problems = [
         instantiate(ProblemId(args.function, args.dim, i), args.suite_seed)
         for i in instances
     ]
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     records, summary = sweep_tau(
-        configs[a1], configs[a2], problems, exps,
+        configs[args.a1], configs[args.a2], problems, exps,
         runs_per_instance=runs, phi=args.phi,
         budget=args.budget_mult * args.dim, seed=args.seed,
         policy=_policy_from_args(args),
@@ -414,7 +420,7 @@ def _add_common(parser):
     parser.add_argument("--phi", type=_grid_target, default=DEFAULT_FINAL_TARGET)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--suite-seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_count, default=1)
     parser.add_argument("--quick", action="store_true",
                         help="3 runs x 2 instances, for CI-scale smoke runs")
     parser.add_argument("--out", default="out")
@@ -465,7 +471,7 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("switch", help="execute dynamic switch plans")
-    p.add_argument("--plan", action="append",
+    p.add_argument("--plan", action="append", type=_parse_plan,
                    help="A1:A2:TAU, repeatable")
     p.add_argument("--from-analysis",
                    help="directory with vbs_report.tsv")
@@ -479,11 +485,13 @@ def build_parser():
     p.set_defaults(func=cmd_switch)
 
     p = sub.add_parser("sweep-tau", help="switching-point sensitivity sweep")
-    p.add_argument("--a1", required=True)
-    p.add_argument("--a2", required=True)
-    p.add_argument("--function", type=int, required=True)
+    p.add_argument("--a1", type=_algorithm, required=True)
+    p.add_argument("--a2", type=_algorithm, required=True)
+    p.add_argument("--function", type=int, choices=IMPLEMENTED_FUNCTIONS,
+                   required=True)
     p.add_argument("--dim", type=lambda s: _count(s, 2), required=True)
     p.add_argument("--tau-exponents",
+                   type=lambda s: [_float(x) for x in s.split(",")],
                    help="comma-separated exponents, snapped to the grid; "
                         "default: full grid")
     _add_common(p)

@@ -9,15 +9,15 @@ after a second consecutive line-search failure the optimizer terminates.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
+from functools import partial
 
 import numpy as np
-from scipy.optimize import line_search
 
 from ..linalg import symmetrize
 from ..problems import DOMAIN_HIGH, DOMAIN_LOW
 from .base import Optimizer
+from .local_search import line_search_wolfe2
 
 GRADIENT_TOLERANCE = 1e-10
 WOLFE_C1 = 1e-4
@@ -87,15 +87,11 @@ class Bfgs(Optimizer):
             # seeds the initial step guess at roughly 1/|g|, as in the
             # reference quasi-Newton implementations
             self._old_old_fval = self.f + float(np.linalg.norm(self.grad)) / 2.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            alpha, _, _, f_new, _, g_new = line_search(
-                lambda p: ev(p),
-                lambda p: finite_difference_gradient(ev, p),
-                self.x, direction, gfk=self.grad, old_fval=self.f,
-                old_old_fval=self._old_old_fval,
-                c1=WOLFE_C1, c2=WOLFE_C2, maxiter=30,
-            )
+        alpha, f_new, g_new = line_search_wolfe2(
+            ev, partial(finite_difference_gradient, ev), self.x, direction,
+            self.grad, self.f, self._old_old_fval,
+            c1=WOLFE_C1, c2=WOLFE_C2, maxiter=30,
+        )
         if alpha is None:
             if self._had_line_search_failure:
                 self._restore_saved_model()

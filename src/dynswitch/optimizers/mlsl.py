@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..problems import DOMAIN_HIGH, DOMAIN_LOW
 from .base import Optimizer
+from .local_search import minimize_powell
 
 POPULATION_MULTIPLIER = 50
 REDUCED_FRACTION = 0.1     # gamma: fraction of cumulative samples kept
@@ -28,7 +28,7 @@ class _LocalCapReached(Exception):
 
 
 def powell_minimize(fun, x0, f_tol=POWELL_F_TOL, max_evals=None):
-    """Powell conjugate-direction descent around scipy's implementation.
+    """Powell conjugate-direction descent (``local_search.minimize_powell``).
 
     Stops on relative f-improvement below ``f_tol`` or after ``max_evals``
     objective calls.  Returns (best_x, best_f).  StopRun signals raised by
@@ -41,15 +41,14 @@ def powell_minimize(fun, x0, f_tol=POWELL_F_TOL, max_evals=None):
         if max_evals is not None and state["count"] >= max_evals:
             raise _LocalCapReached()
         state["count"] += 1
-        f = fun(np.asarray(x, dtype=float))
+        f = fun(x)
         if f < state["best_f"]:
             state["best_f"] = f
-            state["best_x"] = np.array(x, dtype=float, copy=True)
+            state["best_x"] = x.copy()
         return f
 
     try:
-        minimize(wrapped, x0, method="Powell",
-                 options={"ftol": f_tol, "xtol": 1e-10, "maxfev": np.inf})
+        minimize_powell(wrapped, x0, xtol=1e-10, ftol=f_tol)
     except _LocalCapReached:
         pass
     if not math.isfinite(state["best_f"]):

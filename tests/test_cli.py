@@ -1,8 +1,13 @@
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynswitch
 from dynswitch import switching
 from dynswitch.cli import cell_seed, main
 from dynswitch.tracing import DEFAULT_GRID, RunTrace, load_records
@@ -18,6 +23,26 @@ def test_cell_seed_is_stable_and_distinct():
     assert a != cell_seed(0, "BFGS", 1, 2, 1, 1)
     assert a != cell_seed(1, "BFGS", 1, 2, 1, 0)
     assert 0 <= a < 2 ** 64
+
+
+def test_cli_and_every_algorithm_run_without_scipy():
+    # a fresh interpreter: this test process has SciPy loaded as an oracle
+    script = """
+import sys
+import dynswitch.cli
+from dynswitch.optimizers import ALGORITHMS, OptimizerConfig, run_single
+from dynswitch.problems import ProblemId, instantiate
+problem = instantiate(ProblemId(10, 2, 1), 0)
+for name in ALGORITHMS:
+    assert run_single(OptimizerConfig(name), problem, budget=500).evals_used
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+    src = str(Path(dynswitch.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_one(capsys):
@@ -439,6 +464,8 @@ SMALL_COMMANDS = {
           ("--runs", "-1", "--runs: must be >= 1, got -1"),
           ("--budget-mult", "0", "--budget-mult: must be >= 1, got 0"),
           ("--instances", "0", "--instances: must be >= 1, got 0"),
+          ("--jobs", "0", "--jobs: must be >= 1, got 0"),
+          ("--jobs", "-3", "--jobs: must be >= 1, got -3"),
       )),
     ("bench", "--dims", "0", "--dims: must be >= 2, got 0"),
     ("bench", "--dims", "2,1", "--dims: must be >= 2, got 1"),
@@ -446,6 +473,13 @@ SMALL_COMMANDS = {
     ("switch", "--dims", "1", "--dims: must be >= 2, got 1"),
     ("sweep-tau", "--dim", "1", "--dim: must be >= 2, got 1"),
     ("bench", "--algorithms", "BFGS,foo", "unknown algorithm 'foo'"),
+    ("sweep-tau", "--a1", "foo", "unknown algorithm 'foo'"),
+    ("sweep-tau", "--a2", "foo", "unknown algorithm 'foo'"),
+    ("sweep-tau", "--function", "99", "--function: invalid choice: 99"),
+    ("sweep-tau", "--tau-exponents", "0,x", "--tau-exponents: not a number: 'x'"),
+    ("switch", "--plan", "foo:BFGS:1", "unknown algorithm 'foo'"),
+    ("switch", "--plan", "BFGS:CMA-ES:x", "--plan: not a number: 'x'"),
+    ("switch", "--plan", "BFGS:CMA-ES", "plan must look like A1:A2:TAU"),
     ("bench", "--phi", "0", "--phi: precision targets must be positive"),
 ])
 def test_usage_errors_name_the_bad_value(command, option, value, named,
@@ -456,6 +490,22 @@ def test_usage_errors_name_the_bad_value(command, option, value, named,
     out = tmp_path / "out"
     assert run_cli(command, *(a for kv in args.items() for a in kv),
                    "--out", str(out)) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["switch", "--plan", "BFGS:CMA-ES:1"], "--plan needs --functions and --dims"),
+    (["switch", "--from-analysis", "missing"], "no analysis artifacts at"),
+    (["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "1", "--dims", "2",
+      "--logs", "missing"], "no run log at"),
+    (["analyze", "--logs", "missing"], "no run log at"),
+])
+def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
+                                                    capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 
