@@ -38,24 +38,23 @@ def ert(runs, budget) -> float:
     return total / successes if successes else math.inf
 
 
-def ert_curve(records, budget=None) -> dict:
+def ert_curve(records) -> dict:
     """Per grid exponent: (ert, successes, runs) pooled over the records.
 
-    Without an explicit ``budget`` the records must share one: runs from
-    experiments with different budgets are not comparable.
+    The records must share one budget: runs from experiments with different
+    budgets are not comparable.
     """
     if not records:
         raise ValueError("no records to aggregate")
-    if budget is None:
-        budgets = sorted({rec["budget"] for rec in records})
-        if len(budgets) > 1:
-            first = records[0]
-            raise ValueError(
-                f"cannot pool {first['algorithm_label']} runs on "
-                f"F{first['function_id']} {first['dimension']}D with different "
-                f"budgets {budgets}"
-            )
-        budget = budgets[0]
+    budgets = sorted({rec["budget"] for rec in records})
+    if len(budgets) > 1:
+        first = records[0]
+        raise ValueError(
+            f"cannot pool {first['algorithm_label']} runs on "
+            f"F{first['function_id']} {first['dimension']}D with different "
+            f"budgets {budgets}"
+        )
+    budget = budgets[0]
     curve = {}
     for e in DEFAULT_GRID.exponents:
         runs = [(rec["hit_at"].get(e, math.inf), min(rec["evals_used"], budget))
@@ -66,16 +65,13 @@ def ert_curve(records, budget=None) -> dict:
     return curve
 
 
-def build_ert_tables(records, budget=None):
+def build_ert_tables(records):
     """Group run records by (algorithm_label, function, dimension)."""
     groups = {}
     for rec in records:
         key = (rec["algorithm_label"], rec["function_id"], rec["dimension"])
         groups.setdefault(key, []).append(rec)
-    return {
-        key: ert_curve(recs, budget=budget)
-        for key, recs in groups.items()
-    }
+    return {key: ert_curve(recs) for key, recs in groups.items()}
 
 
 def _ert_at(curve, exponent):
@@ -136,16 +132,13 @@ def relative_gain(reference: float, value: float) -> float:
     return (reference - value) / reference
 
 
-def gains(static_ert, theoretical_ert, actual_ert=None):
+def gains(static_ert, theoretical_ert, actual_ert):
     """The three relative measures used in reporting.
 
     Returns (theoretical_gain_vs_static, actual_gain_vs_static,
-    actual_vs_theoretical); the actual entries are None when no executed
-    ERT is supplied.
+    actual_vs_theoretical).
     """
     tg = relative_gain(static_ert, theoretical_ert)
-    if actual_ert is None:
-        return tg, None, None
     ag = relative_gain(static_ert, actual_ert)
     if math.isinf(theoretical_ert):
         avt = -math.inf if math.isfinite(actual_ert) else math.nan

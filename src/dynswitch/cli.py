@@ -29,7 +29,6 @@ from .problems import IMPLEMENTED_FUNCTIONS, ProblemId, instantiate
 from .switching import (SwitchPlan, cell_seed, run_switch, run_switch_tasks,
                         run_tasks, sweep_tau)
 from .tracing import (
-    DEFAULT_BUDGET_MULTIPLIER,
     DEFAULT_FINAL_TARGET,
     DEFAULT_GRID,
     load_records,
@@ -39,6 +38,7 @@ from .warmstart import MODE_FULL, MODE_POINT_ONLY, WarmStartPolicy
 
 DEFAULT_ALGORITHMS = ("BFGS", "MLSL", "PSO", "CMA-ES", "DE")
 DEFAULT_DIMENSIONS = (2, 3, 5, 10, 20)
+DEFAULT_BUDGET_MULTIPLIER = 10_000  # evaluations per dimension
 
 
 def _count(text, minimum=1):
@@ -137,6 +137,13 @@ def _bench_cell(args, configs, cell):
     return trace.to_record()
 
 
+def _create(path):
+    """``path`` opened for writing, its directory made first: a command
+    makes its output directory only once it has something to write."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w")
+
+
 def _write_records(path, records):
     # deterministic order regardless of worker scheduling
     records = sorted(
@@ -144,7 +151,7 @@ def _write_records(path, records):
         key=lambda r: (r["algorithm_label"], r["function_id"], r["dimension"],
                        r["instance"], r["run_index"]),
     )
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         for rec in records:
             fh.write(record_to_json(rec) + "\n")
 
@@ -154,8 +161,8 @@ def _write_manifest(outdir, args, extra=None):
     settings["version"] = __version__
     if extra:
         settings.update(extra)
-    (outdir / "manifest.json").write_text(json.dumps(settings, indent=2,
-                                                     sort_keys=True) + "\n")
+    with _create(outdir / "manifest.json") as fh:
+        fh.write(json.dumps(settings, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_bench(args):
@@ -166,7 +173,6 @@ def cmd_bench(args):
     worker = functools.partial(_bench_cell, args,
                                _optimizer_configs(args, args.algorithms))
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     records, failures = run_tasks(worker, cells, args.jobs)
     _write_records(outdir / "runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
@@ -188,7 +194,7 @@ def cmd_bench(args):
 
 
 def _write_table(path, header, rows):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(str(v) for v in row) + "\n")
@@ -221,7 +227,6 @@ def cmd_analyze(args):
     if records is None:
         return 1
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     tables = build_ert_tables(records)
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     rows = []
@@ -338,7 +343,6 @@ def cmd_switch(args):
              for plan, a1, a2, tau, f, d in switch_cells
              for i in instances for run in range(runs)]
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     records, failures = run_switch_tasks(tasks, not args.no_early_switch,
                                          args.jobs)
     _write_records(outdir / "switch_runs.jsonl", records)
@@ -387,7 +391,6 @@ def cmd_sweep_tau(args):
         for i in instances
     ]
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     records, summary = sweep_tau(
         configs[args.a1], configs[args.a2], problems, exps,
         runs_per_instance=runs, phi=args.phi,

@@ -1,6 +1,5 @@
-from .base import Optimizer
-from .bfgs import Bfgs, finite_difference_gradient
-from .cmaes import Cmaes, default_population_size
+from .bfgs import Bfgs
+from .cmaes import Cmaes
 from .de import De
 from .driver import (
     ALGORITHMS,
@@ -10,7 +9,7 @@ from .driver import (
     make_optimizer,
     run_single,
 )
-from .mlsl import Mlsl, critical_distance, powell_minimize
+from .mlsl import Mlsl
 from .pso import Pso
 
 __all__ = [
@@ -19,15 +18,10 @@ __all__ = [
     "Cmaes",
     "De",
     "Mlsl",
-    "Optimizer",
     "OptimizerConfig",
     "Pso",
     "canonical_algorithm",
-    "critical_distance",
-    "default_population_size",
     "drive",
-    "finite_difference_gradient",
     "make_optimizer",
-    "powell_minimize",
     "run_single",
 ]

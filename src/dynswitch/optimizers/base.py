@@ -12,8 +12,6 @@ import numpy as np
 
 
 class Optimizer:
-    name = "base"
-
     def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = int(dim)
         self.rng = rng

@@ -41,8 +41,6 @@ def finite_difference_gradient(ev, x, f_x=None):
 
 
 class Bfgs(Optimizer):
-    name = "BFGS"
-
     def __init__(self, dim, rng, x0=None, inv_hessian=None,
                  gradient_tolerance=GRADIENT_TOLERANCE,
                  trajectory_window=TRAJECTORY_WINDOW):

@@ -21,8 +21,6 @@ def default_population_size(dim: int) -> int:
 
 
 class Cmaes(Optimizer):
-    name = "CMA-ES"
-
     def __init__(self, dim, rng, mean=None, sigma=0.5, C=None,
                  population_size=None):
         super().__init__(dim, rng)

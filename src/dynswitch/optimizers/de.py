@@ -109,8 +109,6 @@ def _pcg64_draws(rng, n, d, crossover_rate):
 
 
 class De(Optimizer):
-    name = "DE"
-
     def __init__(self, dim, rng, population=None, population_size=None,
                  crossover_rate=CROSSOVER_RATE, tol=CONVERGENCE_TOL):
         super().__init__(dim, rng)

@@ -8,7 +8,6 @@ import numpy as np
 
 from ..problems import ProblemInstance
 from ..tracing import (
-    DEFAULT_BUDGET_MULTIPLIER,
     DEFAULT_FINAL_TARGET,
     TERMINATED_BUDGET,
     TERMINATED_CONVERGED,
@@ -80,21 +79,18 @@ def drive(optimizer, ev: BudgetedEvaluator) -> str:
 def run_single(
     config: OptimizerConfig,
     problem: ProblemInstance,
-    budget: int | None = None,
+    budget: int,
     final_target: float = DEFAULT_FINAL_TARGET,
     seed: int = 0,
     run_index: int = 0,
     label: str | None = None,
 ) -> RunTrace:
     """One full static run; deterministic given (config, problem, seed)."""
-    dim = problem.dimension
-    if budget is None:
-        budget = DEFAULT_BUDGET_MULTIPLIER * dim
     ev = BudgetedEvaluator(
         problem, budget, stop_target=final_target,
         algorithm_label=label or config.algorithm, run_index=run_index,
     )
     rng = np.random.default_rng(seed)
-    optimizer = make_optimizer(config, dim, rng)
+    optimizer = make_optimizer(config, problem.dimension, rng)
     ev.trace.terminated_reason = drive(optimizer, ev)
     return ev.trace

@@ -65,8 +65,6 @@ def critical_distance(dim, total_samples, sigma=SIGMA_PARAMETER):
 
 
 class Mlsl(Optimizer):
-    name = "MLSL"
-
     def __init__(self, dim, rng, population_size=None,
                  reduced_fraction=REDUCED_FRACTION,
                  local_budget_fraction=LOCAL_BUDGET_FRACTION,
@@ -122,16 +120,3 @@ class Mlsl(Optimizer):
             self.minima.append((bx, bf))
             known_points = np.array([m[0] for m in self.minima])
             known_values = np.array([m[1] for m in self.minima])
-
-    @property
-    def best(self):
-        """Best (point, value) over local minima and raw samples."""
-        best_x, best_f = None, math.inf
-        if self.minima:
-            i = int(np.argmin([m[1] for m in self.minima]))
-            best_x, best_f = self.minima[i]
-        if self.sample_values.size:
-            j = int(np.argmin(self.sample_values))
-            if self.sample_values[j] < best_f:
-                best_x, best_f = self.sample_points[j], self.sample_values[j]
-        return best_x, best_f

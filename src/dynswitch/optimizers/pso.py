@@ -25,8 +25,6 @@ def inertia(t: float) -> float:
 
 
 class Pso(Optimizer):
-    name = "PSO"
-
     def __init__(self, dim, rng, positions=None, velocities=None,
                  swarm_size=SWARM_SIZE):
         super().__init__(dim, rng)

@@ -322,15 +322,3 @@ def instantiate(pid: ProblemId, suite_seed: int = 0) -> ProblemInstance:
     inst.rotation_R.setflags(write=False)
     inst.rotation_Q.setflags(write=False)
     return inst
-
-
-def suite_manifest(problems) -> str:
-    """Line-oriented audit table: one row per instance with its optimum."""
-    lines = ["function_id\tdimension\tinstance\tf_opt\tx_opt"]
-    for p in problems:
-        coords = ",".join(repr(float(v)) for v in p.x_opt)
-        lines.append(
-            f"{p.id.function_id}\t{p.id.dimension}\t{p.id.instance}"
-            f"\t{p.f_opt!r}\t{coords}"
-        )
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ from .analysis import ert_curve
 from .optimizers import OptimizerConfig, drive, make_optimizer
 from .problems import ProblemInstance
 from .tracing import (
-    DEFAULT_BUDGET_MULTIPLIER,
     DEFAULT_FINAL_TARGET,
     DEFAULT_GRID,
     TERMINATED_CONVERGED,
@@ -87,21 +86,18 @@ class SwitchTrace:
 def run_switch(
     plan: SwitchPlan,
     problem: ProblemInstance,
-    budget: int | None = None,
+    budget: int,
     seed: int = 0,
     run_index: int = 0,
     early_switch: bool = True,
 ) -> SwitchTrace:
     """Execute one dynamic run; deterministic given (plan, problem, seed)."""
-    dim = problem.dimension
-    if budget is None:
-        budget = DEFAULT_BUDGET_MULTIPLIER * dim
     ev = BudgetedEvaluator(
         problem, budget, stop_target=plan.tau,
         algorithm_label=plan.label(), run_index=run_index,
     )
     rng1 = np.random.default_rng(seed)
-    a1 = make_optimizer(plan.a1, dim, rng1)
+    a1 = make_optimizer(plan.a1, problem.dimension, rng1)
     phase1_reason = drive(a1, ev)
 
     switch_eval = None
@@ -195,9 +191,9 @@ def sweep_tau(
     a2: OptimizerConfig,
     problems,
     tau_exponents,
+    budget: int,
     runs_per_instance: int = 5,
     phi: float = DEFAULT_FINAL_TARGET,
-    budget: int | None = None,
     seed: int = 0,
     policy: WarmStartPolicy = WarmStartPolicy(),
     early_switch: bool = True,

@@ -19,7 +19,6 @@ import numpy as np
 from .problems import ProblemId, ProblemInstance
 
 DEFAULT_FINAL_TARGET = 1e-8
-DEFAULT_BUDGET_MULTIPLIER = 10_000
 
 TERMINATED_TARGET = "target_hit"
 TERMINATED_BUDGET = "budget_exhausted"
@@ -47,9 +46,6 @@ class TargetGrid:
 
     exponents = tuple(round(2.0 - i * 0.2, 10) for i in range(51))
     targets = tuple(10.0 ** e for e in exponents)
-
-    def __len__(self):
-        return len(self.exponents)
 
     def snap_exponent(self, value: float) -> float:
         """Exponent of the grid target nearest to ``value`` (a precision)."""
@@ -81,11 +77,6 @@ class RunTrace:
     best_precision: float = math.inf
     hit_at: dict[float, int] = field(default_factory=dict)
     terminated_reason: str = TERMINATED_BUDGET
-
-    def hitting_time(self, target: float) -> float:
-        """First-crossing evaluation count at the grid target nearest to
-        ``target``; inf if never hit."""
-        return self.hit_at.get(DEFAULT_GRID.snap_exponent(target), math.inf)
 
     def to_record(self) -> dict:
         rec = {

@@ -30,6 +30,14 @@ DEFAULT_SIGMA = 0.5
 
 @dataclass(frozen=True)
 class WarmStartPolicy:
+    """How A2 is built from A1's state at the switch.
+
+    ``mode`` is read only by the BFGS -> CMA-ES and CMA-ES -> BFGS
+    procedures: point-only starts A2 at the best point without the
+    transferred covariance, inverse Hessian or step-size.  The other 18
+    ordered pairs build the same A2 in both modes.
+    """
+
     mode: str = MODE_FULL
     step_size_window: int = 10     # n: trajectory points averaged for sigma
     hyperbox_radius: float = 0.1   # eta: half-width of the seeding box
@@ -135,18 +143,19 @@ def _construct(cls, dim, rng, overrides, **state):
 
 def warmstart_cmaes_from_bfgs(ws: WarmStartState, policy: WarmStartPolicy,
                               rng, overrides=None) -> Cmaes:
-    """Covariance from the inverse Hessian, step-size from the trajectory."""
-    if ws.inv_hessian is None or ws.recent_trajectory is None:
-        raise ValueError("warm-start state lacks BFGS fields")
+    """Covariance from the inverse Hessian, step-size from the trajectory.
+
+    In point-only mode, and from MLSL (no inverse Hessian), the mean is the
+    best point, with the default step-size and identity covariance.
+    """
     dim = ws.best_point.size
-    last_point = ws.recent_trajectory[0]
-    if policy.mode == MODE_POINT_ONLY:
+    if policy.mode == MODE_POINT_ONLY or ws.inv_hessian is None:
         return _construct(Cmaes, dim, rng, overrides,
                           mean=ws.best_point.copy(), sigma=DEFAULT_SIGMA)
     cov = unit_determinant(ws.inv_hessian)
     sigma = _trajectory_sigma(ws.recent_trajectory, policy.step_size_window)
-    return _construct(Cmaes, dim, rng, overrides,
-                      mean=np.array(last_point, dtype=float, copy=True),
+    last_point = np.array(ws.recent_trajectory[0], dtype=float, copy=True)
+    return _construct(Cmaes, dim, rng, overrides, mean=last_point,
                       sigma=sigma, C=cov)
 
 
@@ -190,12 +199,6 @@ def warmstart_population_from_mlsl(ws: WarmStartState, policy: WarmStartPolicy,
     velocities = rng.uniform(-eta, eta, size=pop.shape)
     return _construct(Pso, dim, rng, overrides, positions=pop,
                       velocities=velocities)
-
-
-def warmstart_cmaes_from_mlsl(ws: WarmStartState, rng, overrides=None) -> Cmaes:
-    """Mean at the best point; default step-size and identity covariance."""
-    return _construct(Cmaes, ws.best_point.size, rng, overrides,
-                      mean=ws.best_point.copy(), sigma=DEFAULT_SIGMA)
 
 
 def warmstart_generic(ws: WarmStartState, target: str,
@@ -249,12 +252,10 @@ def apply_warmstart(ws: WarmStartState, source: str, target: str,
     warm-started mean, sigma, C, x0, inverse Hessian and population win over
     them.
     """
-    if source == "BFGS" and target == "CMA-ES":
+    if source in ("BFGS", "MLSL") and target == "CMA-ES":
         return warmstart_cmaes_from_bfgs(ws, policy, rng, overrides)
     if source == "CMA-ES" and target == "BFGS":
         return warmstart_bfgs_from_cmaes(ws, policy, rng, overrides)
     if source == "MLSL" and target in ("PSO", "DE"):
         return warmstart_population_from_mlsl(ws, policy, target, rng, overrides)
-    if source == "MLSL" and target == "CMA-ES":
-        return warmstart_cmaes_from_mlsl(ws, rng, overrides)
     return warmstart_generic(ws, target, policy, rng, overrides)

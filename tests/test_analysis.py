@@ -87,7 +87,7 @@ def test_ert_curve_against_synthetic_oracle():
     # written down by hand
     r1 = make_record("X", 1, 2, {2.0: 1, 0.0: 10, -2.0: 100}, 100)
     r2 = make_record("X", 1, 2, {2.0: 1, 0.0: 20}, 1000)
-    curve = ert_curve([r1, r2], budget=1000)
+    curve = ert_curve([r1, r2])
     assert curve[2.0] == (1.0, 2, 2)
     assert curve[0.0] == (15.0, 2, 2)
     assert curve[-2.0] == ((100 + 1000) / 1, 1, 2)
@@ -108,7 +108,7 @@ def test_ert_curve_is_monotone_in_target_hardness():
             else:
                 break
         records.append(make_record("X", 1, 2, hits, min(t, 1000)))
-    curve = ert_curve(records, budget=1000)
+    curve = ert_curve(records)
     values = [curve[e][0] for e in DEFAULT_GRID.exponents]
     for a, b in zip(values, values[1:]):
         assert b >= a or (math.isinf(a) and math.isinf(b))
@@ -121,7 +121,7 @@ def test_build_ert_tables_grouping():
         make_record("B", 1, 2, {2.0: 3}, 100),
         make_record("A", 8, 2, {2.0: 9}, 100),
     ]
-    tables = build_ert_tables(recs, budget=1000)
+    tables = build_ert_tables(recs)
     assert set(tables) == {("A", 1, 2), ("B", 1, 2), ("A", 8, 2)}
     assert tables[("A", 1, 2)][2.0] == (6.0, 2, 2)
 
@@ -131,7 +131,7 @@ def test_ert_curve_reads_parsed_pair_form():
     rec = make_record("A", 1, 2, {2.0: 5, 0.0: 50}, 100)
     line = record_to_json(rec)
     assert json.loads(line)["hit_at"] == [[2.0, 5], [0.0, 50]]
-    curve = ert_curve([parse_record(line)], budget=1000)
+    curve = ert_curve([parse_record(line)])
     assert curve[0.0] == (50.0, 1, 1)
 
 
@@ -140,8 +140,6 @@ def test_ert_tables_refuse_to_pool_mixed_budgets():
             make_record("A", 1, 2, {2.0: 7}, 100, budget=2000)]
     with pytest.raises(ValueError, match="different budgets"):
         build_ert_tables(recs)
-    # an explicit budget states the comparison, so pooling is allowed
-    assert build_ert_tables(recs, budget=2000)[("A", 1, 2)][2.0] == (6.0, 2, 2)
     # groups that differ in budget but not in (label, f, d) stay apart
     other = make_record("A", 8, 2, {2.0: 7}, 100, budget=2000)
     assert set(build_ert_tables([recs[0], other])) == {("A", 1, 2), ("A", 8, 2)}
@@ -246,8 +244,6 @@ def test_gains_triple():
     assert tg == pytest.approx((705.0 - 271.64) / 705.0)
     assert ag == pytest.approx((705.0 - 525.0) / 705.0)
     assert avt == pytest.approx((271.64 - 525.0) / 271.64)
-    tg, ag, avt = gains(705.0, 271.64)
-    assert ag is None and avt is None
 
 
 def test_vbs_dyn_single_algorithm_is_identity():
@@ -306,7 +302,7 @@ def test_build_vbs_reports_covers_each_cell():
         for label, t in (("A", 10), ("B", 5)):
             recs.append(make_record(label, fid, 2,
                                     {e: t for e in DEFAULT_GRID.exponents}, t))
-    tables = build_ert_tables(recs, budget=1000)
+    tables = build_ert_tables(recs)
     reports = build_vbs_reports(tables, -8.0)
     assert [(r.function_id, r.dimension) for r in reports] == [(1, 2), (8, 2)]
 

@@ -500,6 +500,13 @@ def test_usage_errors_name_the_bad_value(command, option, value, named,
     (["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "1", "--dims", "2",
       "--logs", "missing"], "no run log at"),
     (["analyze", "--logs", "missing"], "no run log at"),
+    # refused by the switching module, after the command-level checks
+    (["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
+      "--dim", "2", "--tau-exponents=-1,-1.05", "--runs", "1",
+      "--instances", "1", "--budget-mult", "50"], "same grid target"),
+    (["switch", "--plan", "BFGS:CMA-ES:1e-2", "--plan", "BFGS:CMA-ES:1.05e-2",
+      "--functions", "1", "--dims", "2", "--runs", "1", "--instances", "1",
+      "--budget-mult", "50"], "same grid target"),
 ])
 def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
                                                     capsys, monkeypatch):

@@ -151,13 +151,3 @@ def test_local_search_cap_is_fraction_of_budget(monkeypatch):
 def test_local_budget_fraction_override_sets_the_cap(monkeypatch):
     opt = Mlsl(2, np.random.default_rng(0), local_budget_fraction=0.05)
     assert set(_local_caps(monkeypatch, opt)) == {200}
-
-
-def test_best_property_covers_samples_and_minima():
-    opt = Mlsl(2, np.random.default_rng(0))
-    opt.sample_points = np.array([[1.0, 1.0], [2.0, 2.0]])
-    opt.sample_values = np.array([5.0, 3.0])
-    opt.minima = [(np.array([0.5, 0.5]), 4.0)]
-    x, f = opt.best
-    assert f == 3.0
-    assert np.array_equal(x, [2.0, 2.0])

@@ -6,7 +6,6 @@ from dynswitch.problems import (
     ConfigurationError,
     ProblemId,
     instantiate,
-    suite_manifest,
 )
 
 DIMS = (2, 3, 5)
@@ -143,12 +142,3 @@ def test_gallagher_peak_counts():
     p22 = instantiate(ProblemId(22, 2, 1), 0)
     assert p21.peaks["centers"].shape[0] == 101
     assert p22.peaks["centers"].shape[0] == 21
-
-
-def test_suite_manifest_format():
-    problems = [instantiate(ProblemId(1, 2, i), 0) for i in (1, 2)]
-    text = suite_manifest(problems)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("function_id")
-    assert len(lines) == 3
-    assert lines[1].split("\t")[0] == "1"

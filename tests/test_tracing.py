@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +29,7 @@ def precision_feeder(precisions, budget=None, stop_target=1e-12):
 
 def test_grid_shape():
     g = TargetGrid()
-    assert len(g) == 51
+    assert len(g.exponents) == len(g.targets) == 51
     assert g.targets[0] == 100.0
     assert g.targets[-1] == pytest.approx(1e-8)
     assert all(a > b for a, b in zip(g.targets, g.targets[1:]))
@@ -102,24 +100,9 @@ def test_target_reached_signal():
         ev(np.zeros(2))
     assert ev.trace.best_precision <= 1e-8
     assert ev.trace.hit_at[-8.0] == 2
-
-
-def test_hitting_time_basics():
-    ev = precision_feeder([5.0, 1e-9], budget=10, stop_target=1e-8)
-    ev(np.zeros(2))
-    with pytest.raises(TargetReached):
-        ev(np.zeros(2))
-    tr = ev.trace
-    assert tr.hitting_time(1e-8) == 2
-    assert tr.hitting_time(10**0.8) == 1
-    # off-grid queries answered conservatively from the next-finer target
-    assert tr.hitting_time(5.0) == tr.hitting_time(DEFAULT_GRID.snap(10**0.6))
-
-
-def test_hitting_time_never_hit_is_infinite():
-    ev = precision_feeder([5.0], budget=10, stop_target=1e-30)
-    ev(np.zeros(2))
-    assert ev.trace.hitting_time(1e-2) == math.inf
+    # the first call (precision 5) reaches 10^0.8 but not 10^0.6
+    assert ev.trace.hit_at[0.8] == 1
+    assert ev.trace.hit_at[0.6] == 2
 
 
 @settings(max_examples=50, deadline=None)

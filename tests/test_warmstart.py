@@ -5,6 +5,7 @@ from dynswitch.optimizers import Bfgs, Cmaes, De, Mlsl, Pso
 from dynswitch.tracing import BudgetedEvaluator, StopRun
 from dynswitch.warmstart import (
     DEFAULT_SIGMA,
+    MODE_FULL,
     MODE_POINT_ONLY,
     WarmStartPolicy,
     _trajectory_sigma,
@@ -13,7 +14,6 @@ from dynswitch.warmstart import (
     unit_determinant,
     warmstart_bfgs_from_cmaes,
     warmstart_cmaes_from_bfgs,
-    warmstart_cmaes_from_mlsl,
     warmstart_population_from_mlsl,
 )
 
@@ -206,12 +206,16 @@ def test_hyperbox_clips_at_domain_boundary():
 
 def test_cmaes_from_mlsl_is_mean_only():
     from dynswitch.warmstart import WarmStartState
+    # the samples' spread is ignored: sigma stays at its default
+    pop = [(np.array([1.5, 0.5]), 1.0), (np.array([-3.0, 4.0]), 9.0)]
     ws = WarmStartState(best_point=np.array([1.5, 0.5]), best_value=1.0,
-                        evaluations_spent=5)
-    opt = warmstart_cmaes_from_mlsl(ws, np.random.default_rng(0))
-    assert np.array_equal(opt.mean, [1.5, 0.5])
-    assert opt.sigma == DEFAULT_SIGMA
-    assert np.allclose(opt.C, np.eye(2))
+                        evaluations_spent=5, population=pop)
+    for mode in (MODE_FULL, MODE_POINT_ONLY):
+        opt = apply_warmstart(ws, "MLSL", "CMA-ES", default_policy(mode=mode),
+                              np.random.default_rng(0))
+        assert np.array_equal(opt.mean, [1.5, 0.5])
+        assert opt.sigma == DEFAULT_SIGMA
+        assert np.allclose(opt.C, np.eye(2))
 
 
 def test_generic_population_transfer_keeps_best_point():
