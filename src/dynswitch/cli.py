@@ -263,6 +263,7 @@ def cmd_analyze(args):
                  ["function_id", "dimension", "value", "negative", "infinite"],
                  [(f, d, c["value"], int(c["negative"]), int(c["infinite"]))
                   for (f, d), c in sorted(cells.items())])
+    _write_manifest(outdir, args, {"records": len(records)})
     print(f"analyzed {len(records)} records -> {len(reports)} cells "
           f"({outdir})")
     return 0
@@ -284,6 +285,16 @@ def cmd_switch(args):
         vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
         if not vbs_path.exists():
             print(f"no analysis artifacts at {vbs_path}", file=sys.stderr)
+            return 1
+        # the VBS pairs and their tau were chosen for the analysis's phi
+        manifest_path = vbs_path.with_name("manifest.json")
+        analysis_phi = "unknown (no manifest.json)"
+        if manifest_path.exists():
+            analysis_phi = json.loads(manifest_path.read_text()).get("phi")
+        if analysis_phi != args.phi:
+            print(f"the analysis at {args.from_analysis} is for phi "
+                  f"{analysis_phi}, not {args.phi:g}: rerun "
+                  f"`dynswitch analyze --phi {args.phi:g}`", file=sys.stderr)
             return 1
         with open(vbs_path) as fh:
             header = fh.readline().strip().split("\t")

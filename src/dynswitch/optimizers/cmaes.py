@@ -4,6 +4,11 @@ Default population size lambda = 4 + floor(3 ln d); no restarts, no
 boundary handling.  Mean, step-size, covariance and evolution paths are
 public state so they can be injected by warm-starting or inspected at a
 switch point.
+
+``C`` is always exactly symmetric, bit for bit: every assignment to it
+goes through ``symmetrize``, ``repair_spd`` or ``np.eye``, and
+``(m + m.T) / 2`` is symmetric because float addition commutes.  The
+sampling transform relies on this and decomposes ``C`` as it stands.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class Cmaes(Optimizer):
         self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
 
     def _sampling_transform(self):
-        vals, vecs = np.linalg.eigh(symmetrize(self.C))
+        vals, vecs = np.linalg.eigh(self.C)
         if vals[0] <= 0:
             self.C = repair_spd(self.C, warn_context="CMA-ES covariance")
             vals, vecs = np.linalg.eigh(self.C)
@@ -82,7 +87,7 @@ class Cmaes(Optimizer):
             self.c_sigma * (2.0 - self.c_sigma) * self.mueff
         ) * inv_sqrt_y
         self.generation += 1
-        ps_norm = float(np.linalg.norm(self.p_sigma))
+        ps_norm = math.sqrt(self.p_sigma.dot(self.p_sigma))
         denom = math.sqrt(
             1.0 - (1.0 - self.c_sigma) ** (2.0 * self.generation)
         )
@@ -96,7 +101,7 @@ class Cmaes(Optimizer):
         correction = (1.0 - h_sigma) * self.c_c * (2.0 - self.c_c)
         self.C = symmetrize(
             (1.0 - self.c_1 - self.c_mu) * self.C
-            + self.c_1 * (np.outer(self.p_c, self.p_c) + correction * self.C)
+            + self.c_1 * (self.p_c[:, None] * self.p_c + correction * self.C)
             + self.c_mu * rank_mu
         )
         self.sigma *= math.exp(

@@ -27,8 +27,16 @@ another bit generator, a pending uint32 half, d < 2 (``integers(1)`` draws
 nothing), or a Lemire draw that numpy would reject and redraw.  Either way
 the generator ends the generation in the same state.  A run stopped
 mid-generation has drawn the whole generation; nothing draws from its
-generator afterwards.  Trials stay sequential, because a trial sees the
-rows replaced earlier in its generation.
+generator afterwards.
+
+Trials.  A generation's trials are built in one pass from the population
+as it stands before its first trial; evaluation and selection then go
+trial by trial.  A trial i sees the rows replaced earlier in its
+generation, so when one of the rows it reads (r1[i], r2[i] or the best
+row) has been replaced, trial i is built again from the current rows.
+Row i itself is replaced only by trial i.  Each build is the same
+elementwise arithmetic, so every trial has the bits of a trial-by-trial
+build.
 """
 
 from __future__ import annotations
@@ -143,16 +151,23 @@ class De(Optimizer):
             self._evaluated_once = True
             self._check_convergence()
             return
+        pop, values = self.population, self.values
         scale = self.rng.uniform(SCALE_LOW, SCALE_HIGH)
-        best = self.population[self.best_index]
+        b = self.best_index
+        best = pop[b]  # a view: it follows the row if a trial replaces it
         r1, r2, cross = (_pcg64_draws(self.rng, n, d, self.crossover_rate)
                          or _scalar_draws(self.rng, n, d, self.crossover_rate))
-        for i in range(n):
-            mutant = best + scale * (self.population[r1[i]]
-                                     - self.population[r2[i]])
-            trial = np.where(cross[i], mutant, self.population[i])
+        trials = np.where(cross, best + scale * (pop[r1] - pop[r2]), pop)
+        replaced = [False] * n
+        for i, j, k in zip(range(n), r1.tolist(), r2.tolist()):
+            if replaced[j] or replaced[k] or replaced[b]:
+                trial = np.where(cross[i], best + scale * (pop[j] - pop[k]),
+                                 pop[i])
+            else:
+                trial = trials[i]
             f = ev(trial)
-            if f <= self.values[i]:
-                self.population[i] = trial
-                self.values[i] = f
+            if f <= values[i]:
+                pop[i] = trial
+                values[i] = f
+                replaced[i] = True
         self._check_convergence()

@@ -49,7 +49,12 @@ The ported code is under SciPy's licence:
     OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
 The arithmetic is kept as SciPy writes it, down to the mix of Python and
-numpy scalars, because that mix decides which overflows raise.
+numpy scalars, because that mix decides which overflows raise.  One
+spelling differs: ``brent`` and ``bracket`` call the builtin ``abs``
+where SciPy calls ``np.abs``.  Their abscissae start from numpy floats
+and stay numpy floats, and ``abs`` of a numpy float64 returns a numpy
+float64 with the same bits, so every value keeps its type; it skips the
+ufunc call that ``np.abs`` makes for each scalar.
 """
 
 from __future__ import annotations
@@ -375,13 +380,13 @@ def brent(func, tol):
     iter = 0
 
     while (iter < maxiter):
-        tol1 = tol * np.abs(x) + _mintol
+        tol1 = tol * abs(x) + _mintol
         tol2 = 2.0 * tol1
         xmid = 0.5 * (a + b)
         # check for convergence
-        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
             break
-        if (np.abs(deltax) <= tol1):
+        if (abs(deltax) <= tol1):
             if (x >= xmid):
                 deltax = a - x       # do a golden section step
             else:
@@ -394,12 +399,12 @@ def brent(func, tol):
             tmp2 = 2.0 * (tmp2 - tmp1)
             if (tmp2 > 0.0):
                 p = -p
-            tmp2 = np.abs(tmp2)
+            tmp2 = abs(tmp2)
             dx_temp = deltax
             deltax = rat
             # check parabolic fit
             if ((p > tmp2 * (a - x)) and (p < tmp2 * (b - x)) and
-                    (np.abs(p) < np.abs(0.5 * tmp2 * dx_temp))):
+                    (abs(p) < abs(0.5 * tmp2 * dx_temp))):
                 rat = p * 1.0 / tmp2        # if parabolic step is useful.
                 u = x + rat
                 if ((u - a) < tol2 or (b - u) < tol2):
@@ -414,7 +419,7 @@ def brent(func, tol):
                     deltax = b - x
                 rat = _cg * deltax
 
-        if (np.abs(rat) < tol1):            # update by at least tol1
+        if (abs(rat) < tol1):            # update by at least tol1
             if rat >= 0:
                 u = x + tol1
             else:
@@ -481,7 +486,7 @@ def bracket(func):
         tmp1 = (xb - xa) * (fb - fc)
         tmp2 = (xb - xc) * (fb - fa)
         val = tmp2 - tmp1
-        if np.abs(val) < _verysmall_num:
+        if abs(val) < _verysmall_num:
             denom = 2.0 * _verysmall_num
         else:
             denom = 2.0 * val

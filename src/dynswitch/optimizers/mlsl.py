@@ -35,25 +35,26 @@ def powell_minimize(fun, x0, f_tol=POWELL_F_TOL, max_evals=None):
     the objective propagate to the caller.
     """
     x0 = np.asarray(x0, dtype=float)
-    state = {"count": 0, "best_x": x0.copy(), "best_f": math.inf}
+    count, best_x, best_f = 0, x0.copy(), math.inf
 
     def wrapped(x):
-        if max_evals is not None and state["count"] >= max_evals:
+        nonlocal count, best_x, best_f
+        if max_evals is not None and count >= max_evals:
             raise _LocalCapReached()
-        state["count"] += 1
+        count += 1
         f = fun(x)
-        if f < state["best_f"]:
-            state["best_f"] = f
-            state["best_x"] = x.copy()
+        if f < best_f:
+            best_f = f
+            best_x = x.copy()
         return f
 
     try:
         minimize_powell(wrapped, x0, xtol=1e-10, ftol=f_tol)
     except _LocalCapReached:
         pass
-    if not math.isfinite(state["best_f"]):
-        state["best_f"] = fun(x0)
-    return state["best_x"], state["best_f"]
+    if not math.isfinite(best_f):
+        best_f = fun(x0)
+    return best_x, best_f
 
 
 def critical_distance(dim, total_samples, sigma=SIGMA_PARAMETER):

@@ -251,8 +251,7 @@ def _gallagher(p, x):
     q *= q
     q *= peaks["scales"]
     q = np.add.reduce(q, axis=1)
-    np.negative(q, out=q)
-    q /= 2.0 * x.size
+    q /= -2.0 * x.size
     np.exp(q, out=q)
     q *= peaks["weights"]
     best = float(q.max())

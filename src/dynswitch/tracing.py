@@ -163,12 +163,12 @@ class BudgetedEvaluator:
         return self.trace.best_precision
 
     def __call__(self, x) -> float:
-        trace = self.trace
+        trace, problem = self.trace, self.problem
         if trace.evals_used >= self.budget:
             raise BudgetExhausted()
-        value = self.problem.evaluate(x)
+        value = problem.evaluate(x)
         trace.evals_used += 1
-        prec = self.problem.precision(value)
+        prec = problem.precision(value)
         if prec < trace.best_precision:
             trace.best_precision = prec
             self.best_x = np.array(x, dtype=float, copy=True)

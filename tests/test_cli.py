@@ -191,6 +191,37 @@ def test_switch_from_analysis_reads_static_log_directory(
     assert report and all(r["static_ert"] != "" for r in report)
 
 
+def test_switch_from_analysis_refuses_another_phi(bench_dir, tmp_path, capsys):
+    # the VBS pairs and tau of an analysis at 1e-2 are not the ones for 1e-8
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--logs", str(bench_dir), "--phi", "1e-2",
+                 "--out", str(analysis)]) == 0
+    assert json.loads((analysis / "manifest.json").read_text())["phi"] == 1e-2
+    capsys.readouterr()
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(analysis), "--quick",
+                 "--budget-mult", "2000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "phi 0.01, not 1e-08" in err
+    assert "rerun `dynswitch analyze --phi 1e-08`" in err
+    assert not out.exists()
+
+
+def test_switch_from_analysis_refuses_analysis_without_manifest(
+        bench_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    assert main(["analyze", "--logs", str(bench_dir),
+                 "--out", str(analysis)]) == 0
+    (analysis / "manifest.json").unlink(missing_ok=True)
+    capsys.readouterr()
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(analysis), "--quick",
+                 "--budget-mult", "2000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no manifest.json" in err and "rerun `dynswitch analyze" in err
+    assert not out.exists()
+
+
 def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
     out = tmp_path / "switch4"
     code = main([

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from dynswitch.optimizers.bfgs import Bfgs
 from dynswitch.optimizers.cmaes import Cmaes, default_population_size
+from dynswitch.problems import ProblemId, instantiate
 from dynswitch.tracing import BudgetedEvaluator, StopRun
+from dynswitch.warmstart import (WarmStartPolicy, extract,
+                                 warmstart_cmaes_from_bfgs)
 
 from conftest import FuncProblem
 
@@ -75,3 +79,40 @@ def test_ill_conditioned_quadratic_adapts_covariance():
     except StopRun:
         pass
     assert ev.trace.best_precision <= 1e-10
+
+
+def _from_bfgs(problem, rng):
+    bfgs = Bfgs(problem.dimension, rng)
+    ev = BudgetedEvaluator(problem, 300, stop_target=0.0)
+    try:
+        while not bfgs.finished:
+            bfgs.step(ev)
+    except StopRun:
+        pass
+    ws = extract(bfgs, ev.best_x, ev.best_f, ev.evals_used)
+    assert ws.inv_hessian is not None
+    return warmstart_cmaes_from_bfgs(ws, WarmStartPolicy(), rng)
+
+
+@pytest.mark.parametrize("start", ["identity", "asymmetric", "indefinite",
+                                   "bfgs"])
+def test_covariance_stays_exactly_symmetric(start):
+    # the sampling transform decomposes C as it stands, without
+    # symmetrizing it first: C must equal its transpose bit for bit
+    problem = instantiate(ProblemId(10, 5, 1), 0)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5))
+    injected = {"asymmetric": a @ a.T + 0.3 * np.triu(a, 1), "indefinite": a}
+    if start == "bfgs":
+        opt = _from_bfgs(problem, rng)
+    else:
+        opt = Cmaes(5, rng, C=injected.get(start))
+    assert np.array_equal(opt.C, opt.C.T)
+    ev = BudgetedEvaluator(problem, 5000, stop_target=1e-8)
+    try:
+        while not opt.finished:
+            opt.step(ev)
+            assert np.array_equal(opt.C, opt.C.T)
+    except StopRun:
+        pass
+    assert opt.generation > 10

@@ -1,13 +1,18 @@
+import copy
+
 import numpy as np
 import pytest
 
 from dynswitch.optimizers.de import (
+    SCALE_HIGH,
+    SCALE_LOW,
     De,
     _decode,
     _pcg64_draws,
     _scalar_draws,
     crossover_mask,
 )
+from dynswitch.problems import ProblemId, instantiate
 from dynswitch.tracing import BudgetedEvaluator, StopRun
 
 from conftest import FuncProblem
@@ -70,6 +75,51 @@ def test_convergence_flag_on_flat_population():
     opt = De(2, np.random.default_rng(0))
     opt.step(ev)
     assert opt.finished
+
+
+def _trial_by_trial_generation(opt, ev):
+    """One generation built trial by trial from the current rows; returns
+    the trials built up front from the rows as they stood at its start."""
+    pop, values = opt.population, opt.values
+    n, d = pop.shape
+    scale = opt.rng.uniform(SCALE_LOW, SCALE_HIGH)
+    best = pop[opt.best_index]
+    r1, r2, cross = (_pcg64_draws(opt.rng, n, d, opt.crossover_rate)
+                     or _scalar_draws(opt.rng, n, d, opt.crossover_rate))
+    up_front = np.where(cross, best + scale * (pop[r1] - pop[r2]), pop)
+    for i in range(n):
+        mutant = best + scale * (pop[r1[i]] - pop[r2[i]])
+        trial = np.where(cross[i], mutant, pop[i])
+        f = ev(trial)
+        if f <= values[i]:
+            pop[i] = trial
+            values[i] = f
+    return up_front
+
+
+def test_generation_rebuilds_trials_whose_rows_were_replaced():
+    # F1 with eight members: trials win often, so a later trial of the same
+    # generation often reads a row replaced before it.  With this seed,
+    # leaving out any one of the three rebuild conditions (r1, r2 or the
+    # best row replaced) changes an evaluated point within two generations.
+    problem = instantiate(ProblemId(1, 5, 1), 0)
+    opt = De(5, np.random.default_rng(2), population_size=8)
+    opt.step(problem.evaluate)
+    rebuilt = 0
+    for _ in range(10):
+        ref = copy.deepcopy(opt)
+        got, want = [], []
+        opt.step(lambda x: (got.append(x.copy()), problem.evaluate(x))[1])
+        up_front = _trial_by_trial_generation(
+            ref, lambda x: (want.append(x.copy()), problem.evaluate(x))[1])
+        got, want = np.array(got), np.array(want)
+        assert got.tobytes() == want.tobytes()
+        assert opt.population.tobytes() == ref.population.tobytes()
+        assert opt.values.tobytes() == ref.values.tobytes()
+        assert opt.rng.bit_generator.state == ref.rng.bit_generator.state
+        # a point unlike its up-front trial can only come from a rebuild
+        rebuilt += int((got != up_front).any(axis=1).sum())
+    assert rebuilt > 0
 
 
 # --- one raw call per generation against numpy's trial-by-trial draws --------
