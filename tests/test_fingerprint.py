@@ -26,9 +26,17 @@ SWITCH_PLANS = (
 )
 SMALL = ("--instances", "1", "--runs", "2", "--budget-mult", "200")
 
-EXPECTED_DIGEST = (
-    "ca8e4797bb34258c5ce0546fdcccb55a6286bcff939a7ef49fadede18c85385e"
-)
+# one digest per log, so a declared change shows which logs moved
+EXPECTED_DIGEST = {
+    "bench":
+        "6d3e08d1bc89f73388f0b5a5e886f902f47112724fdf88cf4855b28b36277b7d",
+    "full":
+        "6d4bdd6933fc5ea4080e45a9a3234989c628ae99c666f6f7f83498ce27ecd4a5",
+    "point_only":
+        "e1e4f75c2e8ba677702f89cb099de54226b258efea20d2ffd1a7bab4fce8663e",
+    "sweep":
+        "ea26529ebf90af8110cebeea4a6afa635af9298c58c3de09074ae50f94d18570",
+}
 # sum over each log's runs of log10(best_precision)
 EXPECTED_LOG_PRECISION = {
     "bench": -792.5061556585988,
@@ -88,11 +96,12 @@ def test_every_switch_plan_switches(outputs):
 
 def test_fingerprint_digest(outputs):
     records, sweep = outputs
-    payload = {name: _rows(recs) for name, recs in sorted(records.items())}
+    payload = {name: _rows(recs) for name, recs in records.items()}
     payload["sweep"] = sweep
-    text = json.dumps(payload, separators=(",", ":"))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == EXPECTED_DIGEST
+    got = {name: hashlib.sha256(json.dumps(
+        rows, separators=(",", ":")).encode()).hexdigest()
+        for name, rows in payload.items()}
+    assert got == EXPECTED_DIGEST
 
 
 def test_fingerprint_best_precision(outputs):
