@@ -100,14 +100,6 @@ def extract(optimizer, best_point, best_value, evaluations_spent) -> WarmStartSt
             (optimizer.population[i].copy(), float(optimizer.values[i]))
             for i in range(optimizer.population.shape[0])
         ]
-    elif isinstance(optimizer, Mlsl):
-        ws.population = [
-            (optimizer.sample_points[i].copy(), float(optimizer.sample_values[i]))
-            for i in range(optimizer.sample_points.shape[0])
-        ]
-        ws.population.extend(
-            (np.array(x, dtype=float), float(f)) for x, f in optimizer.minima
-        )
     return ws
 
 

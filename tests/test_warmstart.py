@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynswitch.optimizers import Bfgs, Cmaes, De, Mlsl, Pso
+from dynswitch.optimizers import Bfgs, Cmaes, De, Pso
 from dynswitch.tracing import BudgetedEvaluator, StopRun
 from dynswitch.warmstart import (
     DEFAULT_SIGMA,
@@ -60,7 +60,6 @@ def test_extract_requires_evaluations():
     (Cmaes, ("mean", "sigma", "covariance")),
     (Pso, ("population",)),
     (De, ("population",)),
-    (Mlsl, ("population",)),
 ])
 def test_extract_carries_algorithm_fields(cls, fields):
     rng = np.random.default_rng(0)
