@@ -54,10 +54,13 @@ def _parse_int_list(text, what, minimum=1, valid=None):
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise argparse.ArgumentTypeError(f"empty {what} in {text!r}")
         if "-" in chunk and not chunk.startswith("-"):
             lo, hi = chunk.split("-", 1)
-            out.extend(range(_count(lo, minimum), int(hi) + 1))
+            lo, hi = _count(lo, minimum), int(hi)
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"reversed {what} range {chunk!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(_count(chunk, minimum))
     if valid is not None:
@@ -315,10 +318,6 @@ def cmd_switch(args):
             for f in args.functions:
                 for d in args.dims:
                     plan_cells.append((a1, a2, tau, f, d))
-    if not plan_cells:
-        print("nothing to execute: give --plan or --from-analysis",
-              file=sys.stderr)
-        return 1
     # the static log is read before any run, so a bad path fails at once
     static_tables = None
     if args.logs:
@@ -344,18 +343,17 @@ def cmd_switch(args):
         args, {a for a1, a2, *_ in plan_cells for a in (a1, a2)})
     policy = _policy_from_args(args)
     switch_cells = [(SwitchPlan(a1=configs[a1], a2=configs[a2], tau=tau,
-                                phi=args.phi, policy=policy), a1, a2, tau, f, d)
+                                phi=args.phi, policy=policy), a1, a2, f, d)
                     for a1, a2, tau, f, d in plan_cells]
     instances, runs = _instances_and_runs(args)
     problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
                 for *_, f, d in plan_cells for i in instances}
-    tasks = [(plan, problems[f, d, i], args.budget_mult * d,
-              cell_seed(args.seed, "switch", a1, a2, tau, f, d, i, run), run)
-             for plan, a1, a2, tau, f, d in switch_cells
+    tasks = [(plan, problems[f, d, i], args.budget_mult * d, run)
+             for plan, *_, f, d in switch_cells
              for i in instances for run in range(runs)]
     outdir = Path(args.out)
-    records, failures = run_switch_tasks(tasks, not args.no_early_switch,
-                                         args.jobs)
+    records, failures = run_switch_tasks(tasks, args.seed,
+                                         not args.no_early_switch, args.jobs)
     _write_records(outdir / "switch_runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
 
@@ -363,7 +361,7 @@ def cmd_switch(args):
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     switch_tables = build_ert_tables(records)
     rows = []
-    for plan, a1, a2, _, f, d in switch_cells:
+    for plan, a1, a2, f, d in switch_cells:
         curve = switch_tables.get((plan.label(), f, d))
         actual = curve[phi_exp][0] if curve else math.inf
         static_val = theoretical = ""

@@ -12,12 +12,13 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .analysis import ert_curve
 from .optimizers import OptimizerConfig, drive, make_optimizer
+from .optimizers.bfgs import TRAJECTORY_WINDOW
 from .problems import ProblemInstance
 from .tracing import (
     DEFAULT_FINAL_TARGET,
@@ -56,6 +57,11 @@ class SwitchPlan:
             raise ValueError(
                 f"need tau > phi > 0, got tau={self.tau}, phi={self.phi}"
             )
+        kept = self.a1.overrides.get("trajectory_window", TRAJECTORY_WINDOW)
+        if ((self.a1.algorithm, self.a2.algorithm) == ("BFGS", "CMA-ES")
+                and self.policy.step_size_window > kept):
+            raise ValueError(f"step-size window {self.policy.step_size_window}"
+                             f" exceeds the {kept} steps BFGS keeps")
 
     @property
     def tau_exponent(self) -> float:
@@ -154,20 +160,24 @@ def run_tasks(worker, tasks, jobs):
     return results, failures
 
 
-def _switch_task(early_switch, task):
+def _switch_task(seed, early_switch, task):
     """Worker: one switch run.  Top level so it pickles for the pool."""
-    plan, problem, budget, seed, run = task
-    return run_switch(plan, problem, budget=budget, seed=seed, run_index=run,
-                      early_switch=early_switch).to_record()
+    plan, problem, budget, run = task
+    a1_seed = cell_seed(seed, plan.a1.algorithm, *astuple(problem.id), run)
+    return run_switch(plan, problem, budget=budget, seed=a1_seed,
+                      run_index=run, early_switch=early_switch).to_record()
 
 
-def run_switch_tasks(tasks, early_switch=True, jobs=1):
-    """Run tasks ``(plan, problem, budget, seed, run)`` over ``jobs`` processes.
+def run_switch_tasks(tasks, seed, early_switch=True, jobs=1):
+    """Run tasks ``(plan, problem, budget, run)`` over ``jobs`` processes,
+    A1 seeded from ``seed`` as bench seeds its static run, which it replays.
 
-    First refuses two tasks of one plan label, problem and run: their
-    records would pool.  Returns (records, failures) in task order, each
-    failure one line naming its run.
+    Refuses an empty batch, and two tasks of one plan label, problem and
+    run: their records would pool.  Returns (records, failures) in task
+    order, each failure one line naming its run.
     """
+    if not tasks:
+        raise ValueError("no switch run to execute: no plan, or no tau above phi")
     seen = set()
     for plan, problem, *_, run in tasks:
         key = (plan.label(), problem.id, run)
@@ -178,7 +188,7 @@ def run_switch_tasks(tasks, early_switch=True, jobs=1):
                 f"switching points on the same grid target {plan.tau_exponent}")
         seen.add(key)
     records, failures = run_tasks(
-        functools.partial(_switch_task, early_switch), tasks, jobs)
+        functools.partial(_switch_task, seed, early_switch), tasks, jobs)
     return records, [
         f"{plan.a1.algorithm}>{plan.a2.algorithm} F{problem.id.function_id} "
         f"{problem.id.dimension}D tau {plan.tau:g} instance "
@@ -209,12 +219,9 @@ def sweep_tau(
     """
     plans = [SwitchPlan(a1=a1, a2=a2, tau=10.0 ** tau_exp, phi=phi,
                         policy=policy) for tau_exp in tau_exponents]
-    tasks = [(plan, problem, budget,
-              cell_seed("sweep", seed, plan.tau_exponent, problem.id.instance,
-                        run), run)
-             for plan in plans for problem in problems
-             for run in range(runs_per_instance)]
-    records, failures = run_switch_tasks(tasks, early_switch, jobs)
+    tasks = [(plan, problem, budget, run) for plan in plans
+             for problem in problems for run in range(runs_per_instance)]
+    records, failures = run_switch_tasks(tasks, seed, early_switch, jobs)
     if failures:
         raise RuntimeError("\n  ".join(
             [f"{len(failures)} of {len(tasks)} sweep runs failed:", *failures]))

@@ -418,6 +418,58 @@ def test_sweep_tau_jobs_write_the_same_bytes(tmp_path):
                  "--out", str(tmp_path / "analysis")]) == 0
 
 
+def test_switch_runs_replay_the_static_run_of_their_a1(tmp_path):
+    # A1 is seeded as bench seeds the static run of its cell, so up to the
+    # switch a switch or sweep run is that run; and a sweep row is the
+    # switch record of its plan
+    common = ["--dims", "2", "--instances", "1,2", "--runs", "3",
+              "--budget-mult", "300", "--seed", "4", "--suite-seed", "3"]
+    sweep_plans = ("CMA-ES:BFGS:1e-1", "CMA-ES:BFGS:1e-3")
+    plans = (*sweep_plans, "BFGS:CMA-ES:1", "MLSL:PSO:1", "PSO:DE:1",
+             "DE:MLSL:1")
+
+    def switch(name, plans, functions, jobs="1"):
+        out = tmp_path / name
+        assert main(["switch", *(f"--plan={p}" for p in plans), "--functions",
+                     functions, *common, "--jobs", jobs, "--out", str(out)]) == 0
+        return out / "switch_runs.jsonl"
+
+    assert main(["bench", "--functions", "10,21", *common,
+                 "--out", str(tmp_path / "bench")]) == 0
+    assert main(["sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS", "--function",
+                 "10", "--dim", "2", "--tau-exponents=-1,-3", *common[2:],
+                 "--out", str(tmp_path / "sweep")]) == 0
+    sweep_log = tmp_path / "sweep" / "sweep_runs.jsonl"
+    assert sweep_log.read_bytes() == \
+        switch("sweep-plans", sweep_plans, "10").read_bytes()
+    switch_log = switch("jobs1", plans, "10,21")
+    assert switch_log.read_bytes() == \
+        switch("jobs2", plans, "10,21", jobs="2").read_bytes()
+
+    static = {(r["algorithm_label"], r["function_id"], r["dimension"],
+               r["instance"], r["run_index"]): r
+              for r in load_records(tmp_path / "bench" / "runs.jsonl")[0]}
+    records = (load_records(switch_log)[0] + load_records(sweep_log)[0])
+    reasons = collections.Counter(r["phase1_reason"] for r in records)
+    assert reasons["target_hit"] and reasons["algorithm_converged"], reasons
+    for r in records:
+        a1 = r["algorithm_label"].split(">")[0]
+        bench = static[a1, r["function_id"], r["dimension"], r["instance"],
+                       r["run_index"]]
+        switched = r["switch_eval"]
+        if switched is None:
+            assert r["hit_at"] == bench["hit_at"]
+            continue
+        assert {e: n for e, n in r["hit_at"].items() if n <= switched} == \
+            {e: n for e, n in bench["hit_at"].items() if n <= switched}
+        if r["phase1_reason"] == "target_hit":
+            tau_exp = DEFAULT_GRID.snap_exponent(r["tau"])
+            assert switched == bench["hit_at"][tau_exp]
+        else:
+            assert r["phase1_reason"] == "algorithm_converged"
+            assert switched == bench["evals_used"]
+
+
 def test_sweep_summary_ert_counts_failed_runs_once(tmp_path, monkeypatch):
     # hand-built runs: run 0 reaches phi after 100 evaluations, run 1 fails
     # after 300, so the ERT is 400/1 while the mean cost is 400/2
@@ -497,7 +549,11 @@ SMALL_COMMANDS = {
           ("--instances", "0", "--instances: must be >= 1, got 0"),
           ("--jobs", "0", "--jobs: must be >= 1, got 0"),
           ("--jobs", "-3", "--jobs: must be >= 1, got -3"),
+          ("--instances", "3-1",
+           "--instances: reversed instance range '3-1'"),
+          ("--instances", ",", "--instances: empty instance in ','"),
       )),
+    ("bench", "--dims", "5-3", "--dims: reversed dimension range '5-3'"),
     ("bench", "--dims", "0", "--dims: must be >= 2, got 0"),
     ("bench", "--dims", "2,1", "--dims: must be >= 2, got 1"),
     ("bench", "--dims", "1-3", "--dims: must be >= 2, got 1"),
@@ -538,6 +594,18 @@ def test_usage_errors_name_the_bad_value(command, option, value, named,
     (["switch", "--plan", "BFGS:CMA-ES:1e-2", "--plan", "BFGS:CMA-ES:1.05e-2",
       "--functions", "1", "--dims", "2", "--runs", "1", "--instances", "1",
       "--budget-mult", "50"], "same grid target"),
+    # the default exponents are the grid targets above phi: here none
+    (["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
+      "--dim", "2", "--phi", "100", "--runs", "1", "--instances", "1",
+      "--budget-mult", "50"], "no switch run to execute"),
+    # BFGS keeps 10 steps of its trajectory: a longer window changes nothing
+    (["switch", "--plan", "BFGS:CMA-ES:1e-1", "--functions", "1", "--dims",
+      "2", "--step-window", "11", "--runs", "1", "--instances", "1",
+      "--budget-mult", "50"], "step-size window 11 exceeds the 10 steps"),
+    (["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
+      "--dim", "2", "--tau-exponents", "0", "--step-window", "20", "--runs",
+      "1", "--instances", "1", "--budget-mult", "50"],
+     "step-size window 20 exceeds the 10 steps"),
 ])
 def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
                                                     capsys, monkeypatch):

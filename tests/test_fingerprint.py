@@ -31,17 +31,17 @@ EXPECTED_DIGEST = {
     "bench":
         "6d3e08d1bc89f73388f0b5a5e886f902f47112724fdf88cf4855b28b36277b7d",
     "full":
-        "6d4bdd6933fc5ea4080e45a9a3234989c628ae99c666f6f7f83498ce27ecd4a5",
+        "221c14e09e33c74790fcdb190fa5d937e62f2a973bb232c5c4ea8c582641b633",
     "point_only":
-        "e1e4f75c2e8ba677702f89cb099de54226b258efea20d2ffd1a7bab4fce8663e",
+        "edd7174c0087958e6f049fd360490d08be5a05738854c28f7fb5f9a773bfce68",
     "sweep":
-        "ea26529ebf90af8110cebeea4a6afa635af9298c58c3de09074ae50f94d18570",
+        "466b855dc2b121bcfaa4e7b5cb7026a56c0f25a01e9076946c6c671d728192bf",
 }
 # sum over each log's runs of log10(best_precision)
 EXPECTED_LOG_PRECISION = {
     "bench": -792.5061556585988,
-    "full": -271.44732491713177,
-    "point_only": -286.88543955081377,
+    "full": -229.92885892866948,
+    "point_only": -243.67033173086247,
 }
 
 

@@ -9,6 +9,7 @@ from dynswitch.optimizers import OptimizerConfig, run_single
 from dynswitch.problems import ProblemId, instantiate
 from dynswitch.switching import SwitchPlan, run_switch, run_tasks, sweep_tau
 from dynswitch.tracing import DEFAULT_GRID, TERMINATED_TARGET
+from dynswitch.warmstart import WarmStartPolicy
 
 
 BFGS = OptimizerConfig("BFGS")
@@ -41,6 +42,21 @@ def test_plan_snaps_phi_to_grid_before_validating():
     # tau above phi, but both land on the same grid target
     with pytest.raises(ValueError):
         SwitchPlan(a1=BFGS, a2=CMAES, tau=1.05e-8, phi=1e-8)
+
+
+def test_plan_window_is_bounded_by_the_steps_bfgs_keeps():
+    # BFGS keeps trajectory_window steps (10 by default) for sigma
+    SwitchPlan(a1=BFGS, a2=CMAES, tau=1.0, policy=WarmStartPolicy(
+        step_size_window=10))
+    with pytest.raises(ValueError, match="window 11 exceeds the 10 steps"):
+        SwitchPlan(a1=BFGS, a2=CMAES, tau=1.0, policy=WarmStartPolicy(
+            step_size_window=11))
+    longer = OptimizerConfig("BFGS", {"trajectory_window": 11})
+    SwitchPlan(a1=longer, a2=CMAES, tau=1.0, policy=WarmStartPolicy(
+        step_size_window=11))
+    # no other pair reads the window
+    SwitchPlan(a1=CMAES, a2=BFGS, tau=1.0, policy=WarmStartPolicy(
+        step_size_window=50))
 
 
 def test_plan_label():
