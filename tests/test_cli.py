@@ -449,7 +449,7 @@ def test_switch_runs_replay_the_static_run_of_their_a1(tmp_path):
     static = {(r["algorithm_label"], r["function_id"], r["dimension"],
                r["instance"], r["run_index"]): r
               for r in load_records(tmp_path / "bench" / "runs.jsonl")[0]}
-    records = (load_records(switch_log)[0] + load_records(sweep_log)[0])
+    records = load_records(switch_log)[0] + load_records(sweep_log)[0]
     reasons = collections.Counter(r["phase1_reason"] for r in records)
     assert reasons["target_hit"] and reasons["algorithm_converged"], reasons
     for r in records:
