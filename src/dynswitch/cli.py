@@ -115,11 +115,6 @@ def _optimizer_configs(args, algorithms):
     return {a: OptimizerConfig(a, overrides.get(a, {})) for a in algorithms}
 
 
-def _instances_and_runs(args):
-    """--quick means 3 runs on each of the first 2 instances."""
-    return (args.instances[:2], 3) if args.quick else (args.instances, args.runs)
-
-
 def _policy_from_args(args):
     return WarmStartPolicy(
         mode=args.warmstart_mode,
@@ -169,10 +164,9 @@ def _write_manifest(outdir, args, extra=None):
 
 
 def cmd_bench(args):
-    instances, runs = _instances_and_runs(args)
     cells = [(a, f, d, inst, run) for a in args.algorithms
              for f in args.functions for d in args.dims
-             for inst in instances for run in range(runs)]
+             for inst in args.instances for run in range(args.runs)]
     worker = functools.partial(_bench_cell, args,
                                _optimizer_configs(args, args.algorithms))
     outdir = Path(args.out)
@@ -345,12 +339,11 @@ def cmd_switch(args):
     switch_cells = [(SwitchPlan(a1=configs[a1], a2=configs[a2], tau=tau,
                                 phi=args.phi, policy=policy), a1, a2, f, d)
                     for a1, a2, tau, f, d in plan_cells]
-    instances, runs = _instances_and_runs(args)
     problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
-                for *_, f, d in plan_cells for i in instances}
+                for *_, f, d in plan_cells for i in args.instances}
     tasks = [(plan, problems[f, d, i], args.budget_mult * d, run)
              for plan, *_, f, d in switch_cells
-             for i in instances for run in range(runs)]
+             for i in args.instances for run in range(args.runs)]
     outdir = Path(args.out)
     records, failures = run_switch_tasks(tasks, args.seed,
                                          not args.no_early_switch, args.jobs)
@@ -394,15 +387,14 @@ def cmd_sweep_tau(args):
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     exps = args.tau_exponents or [e for e in DEFAULT_GRID.exponents
                                   if e > phi_exp]
-    instances, runs = _instances_and_runs(args)
     problems = [
         instantiate(ProblemId(args.function, args.dim, i), args.suite_seed)
-        for i in instances
+        for i in args.instances
     ]
     outdir = Path(args.out)
     records, summary = sweep_tau(
         configs[args.a1], configs[args.a2], problems, exps,
-        runs_per_instance=runs, phi=args.phi,
+        runs_per_instance=args.runs, phi=args.phi,
         budget=args.budget_mult * args.dim, seed=args.seed,
         policy=_policy_from_args(args),
         early_switch=not args.no_early_switch, jobs=args.jobs,
@@ -433,8 +425,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--suite-seed", type=int, default=0)
     parser.add_argument("--jobs", type=_count, default=1)
-    parser.add_argument("--quick", action="store_true",
-                        help="3 runs x 2 instances, for CI-scale smoke runs")
     parser.add_argument("--out", default="out")
     parser.add_argument("--config", help="JSON file of per-algorithm overrides")
 

@@ -1,9 +1,12 @@
 """Information transfer across a switch point.
 
 Extracts an algorithm-agnostic bundle from a suspended optimizer and builds
-the successor's initial state from it: inverse Hessian <-> covariance with
-unit-determinant normalization, step-size from trajectory averaging, and
-hyperbox population seeding around the best point.  None of these
+the successor's initial state from it.  BFGS -> CMA-ES and CMA-ES -> BFGS
+have a dedicated transfer in ``full`` mode: inverse Hessian <-> covariance
+with unit-determinant normalization, step-size from trajectory averaging.
+Every other pair and mode takes the generic transfer: A2 starts at the best
+point, and a PSO swarm or DE population keeps the predecessor's best
+members, padded with hyperbox draws around the best point.  None of these
 operations performs function evaluations.
 """
 
@@ -32,10 +35,9 @@ DEFAULT_SIGMA = 0.5
 class WarmStartPolicy:
     """How A2 is built from A1's state at the switch.
 
-    ``mode`` is read only by the BFGS -> CMA-ES and CMA-ES -> BFGS
-    procedures: point-only starts A2 at the best point without the
-    transferred covariance, inverse Hessian or step-size.  The other 18
-    ordered pairs build the same A2 in both modes.
+    ``full`` selects the dedicated BFGS -> CMA-ES and CMA-ES -> BFGS
+    transfers; ``point_only`` gives those two pairs the generic transfer.
+    The other 18 ordered pairs take the generic transfer in both modes.
     """
 
     mode: str = MODE_FULL
@@ -58,10 +60,8 @@ class WarmStartState:
 
     best_point: np.ndarray
     best_value: float
-    evaluations_spent: int
     recent_trajectory: list | None = None   # most-recent-first iterates (BFGS)
     inv_hessian: np.ndarray | None = None
-    mean: np.ndarray | None = None
     sigma: float | None = None
     covariance: np.ndarray | None = None
     population: list | None = field(default=None, repr=False)  # (point, value)
@@ -79,15 +79,13 @@ def extract(optimizer, best_point, best_value, evaluations_spent) -> WarmStartSt
     ws = WarmStartState(
         best_point=np.array(best_point, dtype=float, copy=True),
         best_value=float(best_value),
-        evaluations_spent=int(evaluations_spent),
     )
     if isinstance(optimizer, Bfgs):
         ws.inv_hessian = repair_spd(optimizer.inv_hessian,
                                     warn_context="BFGS inverse Hessian")
         ws.recent_trajectory = [p.copy() for p in optimizer.recent_points]
     elif isinstance(optimizer, Cmaes):
-        # mean/sigma/C summarize the population; it is deliberately omitted
-        ws.mean = optimizer.mean.copy()
+        # sigma and C summarize the population; it is deliberately omitted
         ws.sigma = float(optimizer.sigma)
         ws.covariance = repair_spd(optimizer.C, warn_context="CMA-ES covariance")
     elif isinstance(optimizer, Pso):
@@ -135,15 +133,9 @@ def _construct(cls, dim, rng, overrides, **state):
 
 def warmstart_cmaes_from_bfgs(ws: WarmStartState, policy: WarmStartPolicy,
                               rng, overrides=None) -> Cmaes:
-    """Covariance from the inverse Hessian, step-size from the trajectory.
-
-    In point-only mode, and from MLSL (no inverse Hessian), the mean is the
-    best point, with the default step-size and identity covariance.
-    """
+    """Covariance from the inverse Hessian, step-size from the trajectory,
+    mean at BFGS's last iterate."""
     dim = ws.best_point.size
-    if policy.mode == MODE_POINT_ONLY or ws.inv_hessian is None:
-        return _construct(Cmaes, dim, rng, overrides,
-                          mean=ws.best_point.copy(), sigma=DEFAULT_SIGMA)
     cov = unit_determinant(ws.inv_hessian)
     sigma = _trajectory_sigma(ws.recent_trajectory, policy.step_size_window)
     last_point = np.array(ws.recent_trajectory[0], dtype=float, copy=True)
@@ -155,18 +147,9 @@ def warmstart_bfgs_from_cmaes(ws: WarmStartState, policy: WarmStartPolicy,
                               rng, overrides=None) -> Bfgs:
     """Inverse Hessian = beta * sigma^2 * C, started at the best point."""
     dim = ws.best_point.size
-    if policy.mode == MODE_POINT_ONLY or ws.covariance is None or ws.sigma is None:
-        return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy())
     h0 = policy.hessian_scale * ws.sigma ** 2 * ws.covariance
     return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy(),
                       inv_hessian=h0)
-
-
-def _hyperbox_sample(ws, policy, rng, n):
-    """``n`` uniform points in the eta-box around the best point."""
-    low = np.clip(ws.best_point - policy.hyperbox_radius, DOMAIN_LOW, DOMAIN_HIGH)
-    high = np.clip(ws.best_point + policy.hyperbox_radius, DOMAIN_LOW, DOMAIN_HIGH)
-    return rng.uniform(low, high, size=(n, ws.best_point.size))
 
 
 def _population_size(target, dim, overrides):
@@ -177,25 +160,10 @@ def _population_size(target, dim, overrides):
     return overrides.get("population_size") or POPULATION_MULTIPLIER * dim
 
 
-def warmstart_population_from_mlsl(ws: WarmStartState, policy: WarmStartPolicy,
-                                   target: str, rng, overrides=None):
-    """Seed a PSO swarm or DE population in the hyperbox around the best point."""
-    if target not in ("PSO", "DE"):
-        raise ValueError(f"unsupported hyperbox target {target!r}")
-    dim = ws.best_point.size
-    pop = _hyperbox_sample(ws, policy, rng, _population_size(target, dim, overrides))
-    pop[0] = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
-    if target == "DE":
-        return _construct(De, dim, rng, overrides, population=pop)
-    eta = policy.hyperbox_radius
-    velocities = rng.uniform(-eta, eta, size=pop.shape)
-    return _construct(Pso, dim, rng, overrides, positions=pop,
-                      velocities=velocities)
-
-
 def warmstart_generic(ws: WarmStartState, target: str,
                       policy: WarmStartPolicy, rng, overrides=None):
-    """Fallback transfer for pairs without a dedicated procedure."""
+    """Transfer for every pair and mode without a dedicated procedure; a
+    PSO/DE target from a source without a population is all hyperbox."""
     dim = ws.best_point.size
     if target == "BFGS":
         return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy())
@@ -220,7 +188,11 @@ def warmstart_generic(ws: WarmStartState, target: str,
         ranked = sorted(ws.population or [], key=lambda pf: pf[1])[:size]
         n_carried = len(ranked)
         carried = np.array([p for p, _ in ranked]).reshape(n_carried, dim)
-        pad = _hyperbox_sample(ws, policy, rng, size - n_carried)
+        # padded with uniform draws in the eta-box around the best point
+        eta = policy.hyperbox_radius
+        low = np.clip(ws.best_point - eta, DOMAIN_LOW, DOMAIN_HIGH)
+        high = np.clip(ws.best_point + eta, DOMAIN_LOW, DOMAIN_HIGH)
+        pad = rng.uniform(low, high, size=(size - n_carried, dim))
         positions = np.clip(np.vstack([carried, pad]), DOMAIN_LOW, DOMAIN_HIGH)
         # make sure the best point itself is present
         best_clipped = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
@@ -228,7 +200,6 @@ def warmstart_generic(ws: WarmStartState, target: str,
             positions[-1] = best_clipped
         if target == "DE":
             return _construct(De, dim, rng, overrides, population=positions)
-        eta = policy.hyperbox_radius
         velocities = np.zeros_like(positions)
         velocities[n_carried:] = rng.uniform(-eta, eta, size=pad.shape)
         return _construct(Pso, dim, rng, overrides, positions=positions,
@@ -238,16 +209,16 @@ def warmstart_generic(ws: WarmStartState, target: str,
 
 def apply_warmstart(ws: WarmStartState, source: str, target: str,
                     policy: WarmStartPolicy, rng, overrides=None):
-    """Dispatch to the pair-specific procedure, else the generic fallback.
+    """The dedicated model transfer for BFGS -> CMA-ES and CMA-ES -> BFGS in
+    ``full`` mode; the generic transfer for everything else.
 
     ``overrides`` are A2's constructor overrides (``OptimizerConfig``); the
     warm-started mean, sigma, C, x0, inverse Hessian and population win over
     them.
     """
-    if source in ("BFGS", "MLSL") and target == "CMA-ES":
-        return warmstart_cmaes_from_bfgs(ws, policy, rng, overrides)
-    if source == "CMA-ES" and target == "BFGS":
-        return warmstart_bfgs_from_cmaes(ws, policy, rng, overrides)
-    if source == "MLSL" and target in ("PSO", "DE"):
-        return warmstart_population_from_mlsl(ws, policy, target, rng, overrides)
+    if policy.mode == MODE_FULL:
+        if (source, target) == ("BFGS", "CMA-ES"):
+            return warmstart_cmaes_from_bfgs(ws, policy, rng, overrides)
+        if (source, target) == ("CMA-ES", "BFGS"):
+            return warmstart_bfgs_from_cmaes(ws, policy, rng, overrides)
     return warmstart_generic(ws, target, policy, rng, overrides)

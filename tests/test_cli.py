@@ -13,6 +13,10 @@ from dynswitch.cli import cell_seed, main
 from dynswitch.tracing import DEFAULT_GRID, RunTrace, load_records
 
 
+# 2 instances x 3 runs
+TWO_BY_THREE = ("--instances", "1,2", "--runs", "3")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -63,7 +67,7 @@ def bench_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
     code = main([
         "bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
-        "--dims", "2", "--quick", "--budget-mult", "2000",
+        "--dims", "2", *TWO_BY_THREE, "--budget-mult", "2000",
         "--out", str(out),
     ])
     assert code == 0
@@ -77,14 +81,14 @@ def test_bench_record_count_and_manifest(bench_dir):
     assert len(records) == 12
     manifest = json.loads((bench_dir / "manifest.json").read_text())
     assert manifest["records"] == 12
-    assert manifest["quick"] is True
+    assert manifest["instances"] == [1, 2] and manifest["runs"] == 3
 
 
 def test_bench_rerun_is_byte_identical(bench_dir, tmp_path):
     out2 = tmp_path / "again"
     code = main([
         "bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
-        "--dims", "2", "--quick", "--budget-mult", "2000",
+        "--dims", "2", *TWO_BY_THREE, "--budget-mult", "2000",
         "--out", str(out2),
     ])
     assert code == 0
@@ -96,7 +100,7 @@ def test_algorithm_aliases_accepted(tmp_path):
     out = tmp_path / "alias"
     code = main([
         "bench", "--algorithms", "cmaes", "--functions", "1", "--dims", "2",
-        "--quick", "--budget-mult", "500", "--runs", "1", "--out", str(out),
+        *TWO_BY_THREE, "--budget-mult", "500", "--out", str(out),
     ])
     assert code == 0
     records, _ = load_records(out / "runs.jsonl")
@@ -141,7 +145,7 @@ def test_switch_plan_execution_and_report(bench_dir, tmp_path):
     out = tmp_path / "switch"
     code = main([
         "switch", "--plan", "BFGS:CMA-ES:1e-2", "--functions", "1",
-        "--dims", "2", "--quick", "--budget-mult", "2000",
+        "--dims", "2", *TWO_BY_THREE, "--budget-mult", "2000",
         "--logs", str(bench_dir), "--out", str(out),
     ])
     assert code == 0
@@ -166,7 +170,7 @@ def _report_rows(path):
 def test_switch_from_analysis(analysis_dir, tmp_path):
     out = tmp_path / "switch2"
     code = main([
-        "switch", "--from-analysis", str(analysis_dir), "--quick",
+        "switch", "--from-analysis", str(analysis_dir), *TWO_BY_THREE,
         "--budget-mult", "2000", "--out", str(out),
     ])
     # the VBS may pick an identity pair for every cell; then there is
@@ -184,7 +188,8 @@ def test_switch_from_analysis_reads_static_log_directory(
     out = tmp_path / "switch3"
     code = main([
         "switch", "--from-analysis", str(analysis_dir), "--logs",
-        str(bench_dir), "--quick", "--budget-mult", "2000", "--out", str(out),
+        str(bench_dir), *TWO_BY_THREE, "--budget-mult", "2000",
+        "--out", str(out),
     ])
     assert code == 0
     report = _report_rows(out / "switch_report.tsv")
@@ -199,7 +204,7 @@ def test_switch_from_analysis_refuses_another_phi(bench_dir, tmp_path, capsys):
     assert json.loads((analysis / "manifest.json").read_text())["phi"] == 1e-2
     capsys.readouterr()
     out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), "--quick",
+    assert main(["switch", "--from-analysis", str(analysis), *TWO_BY_THREE,
                  "--budget-mult", "2000", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "phi 0.01, not 1e-08" in err
@@ -215,7 +220,7 @@ def test_switch_from_analysis_refuses_analysis_without_manifest(
     (analysis / "manifest.json").unlink(missing_ok=True)
     capsys.readouterr()
     out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), "--quick",
+    assert main(["switch", "--from-analysis", str(analysis), *TWO_BY_THREE,
                  "--budget-mult", "2000", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "no manifest.json" in err and "rerun `dynswitch analyze" in err
@@ -226,7 +231,7 @@ def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
     out = tmp_path / "switch4"
     code = main([
         "switch", "--plan", "BFGS:CMA-ES:1e-2", "--functions", "1",
-        "--dims", "2", "--quick", "--budget-mult", "2000",
+        "--dims", "2", *TWO_BY_THREE, "--budget-mult", "2000",
         "--logs", str(tmp_path / "missing"), "--out", str(out),
     ])
     assert code == 1
@@ -271,7 +276,7 @@ def test_sweep_tau_artifacts(tmp_path):
     out = tmp_path / "sweep"
     code = main([
         "sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
-        "--dim", "2", "--tau-exponents", "0.0,-2.0", "--quick",
+        "--dim", "2", "--tau-exponents", "0.0,-2.0", *TWO_BY_THREE,
         "--budget-mult", "2000", "--out", str(out),
     ])
     assert code == 0

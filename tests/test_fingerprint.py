@@ -17,8 +17,9 @@ import pytest
 from dynswitch.cli import main
 
 ALGORITHMS = "BFGS,CMA-ES,PSO,DE,MLSL"
-# every apply_warmstart branch: the four dedicated procedures, then the
-# generic transfer into each of the five algorithms
+# every apply_warmstart branch: the two dedicated model transfers, then the
+# generic transfer into each of the five algorithms, into PSO and DE both
+# from a source without a population (MLSL) and from one with (PSO, DE)
 SWITCH_PLANS = (
     "BFGS:CMA-ES:1", "CMA-ES:BFGS:1", "MLSL:PSO:1", "MLSL:DE:1",
     "MLSL:CMA-ES:1", "PSO:BFGS:1", "CMA-ES:MLSL:1", "DE:CMA-ES:1",
@@ -31,17 +32,17 @@ EXPECTED_DIGEST = {
     "bench":
         "6d3e08d1bc89f73388f0b5a5e886f902f47112724fdf88cf4855b28b36277b7d",
     "full":
-        "221c14e09e33c74790fcdb190fa5d937e62f2a973bb232c5c4ea8c582641b633",
+        "831c25b6ff700757bf0ad7204249eeef8d4138ed0effae2e4fd8f8883197036f",
     "point_only":
-        "edd7174c0087958e6f049fd360490d08be5a05738854c28f7fb5f9a773bfce68",
+        "84be22e845415ea7f103fa18e5d1a10558d139473c63e17df1e173b2243b65e1",
     "sweep":
         "466b855dc2b121bcfaa4e7b5cb7026a56c0f25a01e9076946c6c671d728192bf",
 }
 # sum over each log's runs of log10(best_precision)
 EXPECTED_LOG_PRECISION = {
     "bench": -792.5061556585988,
-    "full": -229.92885892866948,
-    "point_only": -243.67033173086247,
+    "full": -231.201023384063,
+    "point_only": -244.94249618625597,
 }
 
 

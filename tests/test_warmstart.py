@@ -1,20 +1,22 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from dynswitch.optimizers import Bfgs, Cmaes, De, Pso
+from dynswitch.optimizers import Bfgs, Cmaes, De, Mlsl, Pso
 from dynswitch.tracing import BudgetedEvaluator, StopRun
 from dynswitch.warmstart import (
     DEFAULT_SIGMA,
     MODE_FULL,
     MODE_POINT_ONLY,
     WarmStartPolicy,
+    WarmStartState,
     _trajectory_sigma,
     apply_warmstart,
     extract,
     unit_determinant,
     warmstart_bfgs_from_cmaes,
     warmstart_cmaes_from_bfgs,
-    warmstart_population_from_mlsl,
 )
 
 from conftest import FuncProblem
@@ -57,7 +59,7 @@ def test_extract_requires_evaluations():
 
 @pytest.mark.parametrize("cls,fields", [
     (Bfgs, ("inv_hessian", "recent_trajectory")),
-    (Cmaes, ("mean", "sigma", "covariance")),
+    (Cmaes, ("sigma", "covariance")),
     (Pso, ("population",)),
     (De, ("population",)),
 ])
@@ -68,7 +70,6 @@ def test_extract_carries_algorithm_fields(cls, fields):
     ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
     for f in fields:
         assert getattr(ws, f) is not None
-    assert ws.evaluations_spent == ev.trace.evals_used
     assert ws.best_value == ev.best_f
 
 
@@ -113,9 +114,8 @@ def test_unit_determinant_is_scale_invariant():
 def test_cmaes_from_bfgs_full_transfer():
     H = np.diag([4.0, 1.0])
     ws_traj = [np.array([0.1 * k, 0.0]) for k in range(4, -1, -1)]
-    from dynswitch.warmstart import WarmStartState
     ws = WarmStartState(
-        best_point=np.array([0.4, 0.0]), best_value=1.0, evaluations_spent=50,
+        best_point=np.array([0.4, 0.0]), best_value=1.0,
         inv_hessian=H, recent_trajectory=ws_traj,
     )
     opt = warmstart_cmaes_from_bfgs(ws, default_policy(), np.random.default_rng(0))
@@ -125,14 +125,14 @@ def test_cmaes_from_bfgs_full_transfer():
 
 
 def test_cmaes_from_bfgs_point_only():
-    from dynswitch.warmstart import WarmStartState
     ws = WarmStartState(
-        best_point=np.array([1.0, 2.0]), best_value=1.0, evaluations_spent=50,
+        best_point=np.array([1.0, 2.0]), best_value=1.0,
         inv_hessian=np.diag([4.0, 1.0]),
         recent_trajectory=[np.array([9.0, 9.0])],
     )
-    opt = warmstart_cmaes_from_bfgs(
-        ws, default_policy(mode=MODE_POINT_ONLY), np.random.default_rng(0))
+    opt = apply_warmstart(ws, "BFGS", "CMA-ES",
+                          default_policy(mode=MODE_POINT_ONLY),
+                          np.random.default_rng(0))
     assert np.array_equal(opt.mean, [1.0, 2.0])
     assert opt.sigma == DEFAULT_SIGMA
     assert np.allclose(opt.C, np.eye(2))
@@ -142,10 +142,9 @@ def test_cmaes_sampling_distribution_matches_transfer():
     # Monte Carlo check: samples drawn after the transfer have covariance
     # close to sigma^2 C
     H = np.array([[2.0, 0.6], [0.6, 1.0]])
-    from dynswitch.warmstart import WarmStartState
     traj = [np.array([0.2 * k, 0.1 * k]) for k in range(5, -1, -1)]
     ws = WarmStartState(
-        best_point=traj[0], best_value=1.0, evaluations_spent=10,
+        best_point=traj[0], best_value=1.0,
         inv_hessian=H, recent_trajectory=traj,
     )
     opt = warmstart_cmaes_from_bfgs(ws, default_policy(), np.random.default_rng(0))
@@ -159,69 +158,64 @@ def test_cmaes_sampling_distribution_matches_transfer():
 
 
 def test_bfgs_from_cmaes_scaling():
-    from dynswitch.warmstart import WarmStartState
     C = np.diag([2.0, 0.5])
     ws = WarmStartState(
-        best_point=np.array([0.1, 0.2]), best_value=1.0, evaluations_spent=20,
-        mean=np.zeros(2), sigma=0.3, covariance=C,
+        best_point=np.array([0.1, 0.2]), best_value=1.0,
+        sigma=0.3, covariance=C,
     )
     policy = default_policy(hessian_scale=2.0)
     opt = warmstart_bfgs_from_cmaes(ws, policy, np.random.default_rng(0))
     assert np.allclose(opt.inv_hessian, 2.0 * 0.3 ** 2 * C)
     assert np.array_equal(opt.x, [0.1, 0.2])
-    point_only = warmstart_bfgs_from_cmaes(
-        ws, default_policy(mode=MODE_POINT_ONLY), np.random.default_rng(0))
+    point_only = apply_warmstart(ws, "CMA-ES", "BFGS",
+                                 default_policy(mode=MODE_POINT_ONLY),
+                                 np.random.default_rng(0))
     assert np.allclose(point_only.inv_hessian, np.eye(2))
 
 
 def test_hyperbox_population_geometry():
-    from dynswitch.warmstart import WarmStartState
+    # a source without a population: the swarm is all hyperbox draws
     best = np.array([2.0, -1.0])
-    ws = WarmStartState(best_point=best, best_value=1.0, evaluations_spent=5,
-                        population=[(best, 1.0)])
+    ws = WarmStartState(best_point=best, best_value=1.0)
     policy = default_policy(hyperbox_radius=0.25)
-    pso = warmstart_population_from_mlsl(ws, policy, "PSO",
-                                         np.random.default_rng(0))
+    pso = apply_warmstart(ws, "MLSL", "PSO", policy, np.random.default_rng(0))
     assert pso.positions.shape == (40, 2)
-    assert np.array_equal(pso.positions[0], best)
+    assert np.any(np.all(pso.positions == best[None, :], axis=1))
     assert np.all(np.abs(pso.positions - best[None, :]) <= 0.25 + 1e-12)
     assert np.all(np.abs(pso.velocities) <= 0.25)
-    de = warmstart_population_from_mlsl(ws, policy, "DE",
-                                        np.random.default_rng(0))
+    de = apply_warmstart(ws, "MLSL", "DE", policy, np.random.default_rng(0))
     assert de.population.shape == (10, 2)
+    assert np.any(np.all(de.population == best[None, :], axis=1))
     assert np.all(np.abs(de.population - best[None, :]) <= 0.25 + 1e-12)
 
 
 def test_hyperbox_clips_at_domain_boundary():
-    from dynswitch.warmstart import WarmStartState
     best = np.array([4.95, -4.95])
-    ws = WarmStartState(best_point=best, best_value=1.0, evaluations_spent=5)
+    ws = WarmStartState(best_point=best, best_value=1.0)
     policy = default_policy(hyperbox_radius=0.5)
-    pso = warmstart_population_from_mlsl(ws, policy, "PSO",
-                                         np.random.default_rng(0))
+    pso = apply_warmstart(ws, "MLSL", "PSO", policy, np.random.default_rng(0))
     assert np.all(pso.positions <= 5.0)
     assert np.all(pso.positions >= -5.0)
 
 
 def test_cmaes_from_mlsl_is_mean_only():
-    from dynswitch.warmstart import WarmStartState
-    # the samples' spread is ignored: sigma stays at its default
-    pop = [(np.array([1.5, 0.5]), 1.0), (np.array([-3.0, 4.0]), 9.0)]
-    ws = WarmStartState(best_point=np.array([1.5, 0.5]), best_value=1.0,
-                        evaluations_spent=5, population=pop)
+    # MLSL's samples are not carried, so their spread cannot set sigma
+    mlsl = Mlsl(2, np.random.default_rng(0))
+    ev = run_a_little(mlsl, sphere(), steps=1)
+    ws = extract(mlsl, ev.best_x, ev.best_f, ev.trace.evals_used)
+    assert ws.population is None
     for mode in (MODE_FULL, MODE_POINT_ONLY):
         opt = apply_warmstart(ws, "MLSL", "CMA-ES", default_policy(mode=mode),
                               np.random.default_rng(0))
-        assert np.array_equal(opt.mean, [1.5, 0.5])
+        assert np.array_equal(opt.mean, ev.best_x)
         assert opt.sigma == DEFAULT_SIGMA
         assert np.allclose(opt.C, np.eye(2))
 
 
 def test_generic_population_transfer_keeps_best_point():
-    from dynswitch.warmstart import WarmStartState
     pop = [(np.array([float(i), 0.0]), float(i)) for i in range(5)]
     ws = WarmStartState(best_point=np.array([0.0, 0.0]), best_value=0.0,
-                        evaluations_spent=5, population=pop)
+                        population=pop)
     de = apply_warmstart(ws, "PSO", "DE", default_policy(),
                          np.random.default_rng(0))
     assert de.population.shape == (10, 2)
@@ -233,9 +227,7 @@ def test_generic_population_transfer_keeps_best_point():
 
 
 def test_generic_transfer_into_mlsl_seeds_best_point():
-    from dynswitch.warmstart import WarmStartState
-    ws = WarmStartState(best_point=np.array([1.0, -2.0]), best_value=3.0,
-                        evaluations_spent=9)
+    ws = WarmStartState(best_point=np.array([1.0, -2.0]), best_value=3.0)
     opt = apply_warmstart(ws, "CMA-ES", "MLSL", default_policy(),
                           np.random.default_rng(0))
     assert np.array_equal(opt.sample_points, [[1.0, -2.0]])
@@ -281,7 +273,8 @@ def test_full_transfer_beats_point_only_after_bfgs():
             (warm_costs, default_policy()),
             (cold_costs, default_policy(mode=MODE_POINT_ONLY)),
         ):
-            c = warmstart_cmaes_from_bfgs(ws, policy, np.random.default_rng(seed))
+            c = apply_warmstart(ws, "BFGS", "CMA-ES", policy,
+                                np.random.default_rng(seed))
             ev2 = BudgetedEvaluator(problem, 100_000, stop_target=1e-9)
             try:
                 while not c.finished:
@@ -293,9 +286,8 @@ def test_full_transfer_beats_point_only_after_bfgs():
 
 
 def test_a2_overrides_apply_and_warm_state_wins():
-    from dynswitch.warmstart import WarmStartState
     best = np.array([1.5, 0.5])
-    ws = WarmStartState(best_point=best, best_value=1.0, evaluations_spent=5,
+    ws = WarmStartState(best_point=best, best_value=1.0,
                         population=[(best, 1.0)])
     cma = apply_warmstart(ws, "MLSL", "CMA-ES", default_policy(),
                           np.random.default_rng(0),
@@ -308,14 +300,47 @@ def test_a2_overrides_apply_and_warm_state_wins():
                            overrides={"gradient_tolerance": 1e-3,
                                       "x0": np.zeros(2)})
     assert bfgs.gradient_tolerance == 1e-3 and np.array_equal(bfgs.x, best)
-    # population sizes follow the overrides, for the hyperbox and the
-    # generic transfer alike
-    for source in ("MLSL", "CMA-ES"):
-        de = apply_warmstart(ws, source, "DE", default_policy(),
+    # population sizes follow the overrides, with members carried or not
+    for state in (ws, WarmStartState(best_point=best, best_value=1.0)):
+        de = apply_warmstart(state, "MLSL", "DE", default_policy(),
                              np.random.default_rng(0),
                              overrides={"population_size": 7})
-        pso = apply_warmstart(ws, source, "PSO", default_policy(),
+        pso = apply_warmstart(state, "MLSL", "PSO", default_policy(),
                               np.random.default_rng(0),
                               overrides={"swarm_size": 9})
         assert de.population.shape == (7, 2)
         assert pso.positions.shape == (9, 2)
+
+
+ALGORITHMS = {"BFGS": Bfgs, "CMA-ES": Cmaes, "PSO": Pso, "DE": De, "MLSL": Mlsl}
+
+
+def _start_state(opt):
+    """``opt``'s type and attributes: arrays by their bytes, the generator by
+    its state, so two optimizers compare equal when they start alike."""
+    state = {}
+    for name, value in vars(opt).items():
+        if isinstance(value, np.random.Generator):
+            value = value.bit_generator.state
+        elif isinstance(value, np.ndarray):
+            value = (value.shape, value.tobytes())
+        elif isinstance(value, deque):
+            value = [p.tobytes() for p in value]
+        state[name] = value
+    return type(opt), state
+
+
+@pytest.mark.parametrize("source", ALGORITHMS)
+def test_mode_changes_only_the_model_transfers(source):
+    opt = ALGORITHMS[source](2, np.random.default_rng(0))
+    ev = run_a_little(opt, sphere(), steps=3)
+    ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
+    for target in (t for t in ALGORITHMS if t != source):
+        full, point_only = (
+            _start_state(apply_warmstart(ws, source, target,
+                                         default_policy(mode=mode),
+                                         np.random.default_rng(1)))
+            for mode in (MODE_FULL, MODE_POINT_ONLY))
+        model_transfer = (source, target) in (("BFGS", "CMA-ES"),
+                                              ("CMA-ES", "BFGS"))
+        assert (full != point_only) == model_transfer, (source, target)
