@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .tracing import DEFAULT_GRID
 
 
@@ -18,7 +20,7 @@ def ert(runs, budget) -> float:
     """ERT from (hitting_time, evals_consumed) pairs; inf if no successes.
 
     Successful runs contribute min(T_i, budget); unsuccessful ones the
-    evaluations they consumed, capped at the budget.
+    evaluations they consumed.  A run over the budget is refused.
     """
     runs = list(runs)
     if not runs:
@@ -34,7 +36,7 @@ def ert(runs, budget) -> float:
             total += min(hitting_time, budget)
             successes += 1
         else:
-            total += min(consumed, budget)
+            total += consumed
     return total / successes if successes else math.inf
 
 
@@ -57,11 +59,10 @@ def ert_curve(records) -> dict:
     budget = budgets[0]
     curve = {}
     for e in DEFAULT_GRID.exponents:
-        runs = [(rec["hit_at"].get(e, math.inf), min(rec["evals_used"], budget))
+        runs = [(rec["hit_at"].get(e, math.inf), rec["evals_used"])
                 for rec in records]
-        value = ert(runs, budget)
-        successes = sum(1 for h, _ in runs if math.isfinite(h))
-        curve[e] = (value, successes, len(runs))
+        curve[e] = (ert(runs, budget),
+                    sum(math.isfinite(h) for h, _ in runs), len(runs))
     return curve
 
 
@@ -72,6 +73,32 @@ def build_ert_tables(records):
         key = (rec["algorithm_label"], rec["function_id"], rec["dimension"])
         groups.setdefault(key, []).append(rec)
     return {key: ert_curve(recs) for key, recs in groups.items()}
+
+
+def _cells(tables):
+    """{(function, dimension): {algorithm_label: curve}} from ERT tables."""
+    cells = {}
+    for (label, f, d), curve in tables.items():
+        cells.setdefault((f, d), {})[label] = curve
+    return cells
+
+
+def tau_summary(records, phi_exponent):
+    """Rows of sweep_summary.tsv: per tau, in record order, the mean and std
+    of the cost to phi (the hitting time, or the evaluations used when phi
+    was missed), the successes and runs, and the ERT at phi."""
+    by_tau = {}
+    for rec in records:
+        by_tau.setdefault(rec["tau"], []).append(rec)
+    summary = []
+    for tau, cell in by_tau.items():
+        costs = [r["hit_at"].get(phi_exponent, r["evals_used"]) for r in cell]
+        value, successes, runs = ert_curve(cell)[phi_exponent]
+        summary.append({"tau_exponent": DEFAULT_GRID.snap_exponent(tau),
+                        "mean": float(np.mean(costs)),
+                        "std": float(np.std(costs)), "successes": successes,
+                        "runs": runs, "ert": value})
+    return summary
 
 
 def _ert_at(curve, exponent):
@@ -85,10 +112,8 @@ def theoretical_performance(curve_a1, curve_a2, tau_exponent, phi_exponent) -> f
         raise ValueError("tau must be an easier target than phi")
     v1 = _ert_at(curve_a1, tau_exponent)
     v2 = _ert_at(curve_a2, phi_exponent)
-    if math.isinf(v1) or math.isinf(v2):
-        return math.inf
     v3 = _ert_at(curve_a2, tau_exponent)
-    if math.isinf(v3):
+    if math.isinf(v1) or math.isinf(v2) or math.isinf(v3):
         return math.inf
     return max(v1, v1 + v2 - v3)
 
@@ -189,13 +214,35 @@ def vbs_dyn(tables_for_cell, function_id, dimension, phi_exponent) -> VbsReport:
 
 def build_vbs_reports(tables, phi_exponent):
     """One VbsReport per (function, dimension) present in the tables."""
-    cells = {}
-    for (label, f, d), curve in tables.items():
-        cells.setdefault((f, d), {})[label] = curve
     return [
         vbs_dyn(algos, f, d, phi_exponent)
-        for (f, d), algos in sorted(cells.items())
+        for (f, d), algos in sorted(_cells(tables).items())
     ]
+
+
+def switch_report(plans, switch_tables, static_tables, phi_exponent):
+    """Rows of switch_report.tsv, one per (plan, function, dimension): static
+    best, theoretical and actual ERT at phi, and the gains.  A cell absent
+    from ``static_tables`` (or None) leaves the static columns empty."""
+    static_cells = _cells(static_tables or {})
+    rows = []
+    for plan, f, d in plans:
+        a1, a2 = plan.a1.algorithm, plan.a2.algorithm
+        actual = _ert_at(switch_tables.get((plan.label(), f, d), {}),
+                         phi_exponent)
+        cell = static_cells.get((f, d), {})
+        static = theoretical = ""
+        if cell:
+            static = min(_ert_at(c, phi_exponent) for c in cell.values())
+            if a1 in cell and a2 in cell:
+                theoretical = theoretical_performance(
+                    cell[a1], cell[a2], plan.tau_exponent, phi_exponent)
+        row_gains = ("", "", "")
+        if theoretical != "" and math.isfinite(static):
+            row_gains = gains(static, theoretical, actual)
+        rows.append((a1, a2, f, d, plan.tau, static, theoretical, actual,
+                     *row_gains))
+    return rows
 
 
 def heatmap_data(reports):

@@ -8,19 +8,21 @@ error or failed sweep run, 2 partial failures of bench or switch.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    VbsReport,
     build_ert_tables,
     build_vbs_reports,
-    gains,
     heatmap_data,
-    theoretical_performance,
+    switch_report,
     use_case_table,
 )
 from .optimizers import OptimizerConfig, canonical_algorithm, run_single
@@ -173,16 +175,9 @@ def cmd_bench(args):
     records, failures = run_tasks(worker, cells, args.jobs)
     _write_records(outdir / "runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
-
-    # per-cell success summary
-    summary = {}
-    for rec in records:
-        key = (rec["algorithm_label"], rec["function_id"], rec["dimension"])
-        cell = summary.setdefault(key, [0, 0])
-        cell[1] += 1
-        if rec["terminated_reason"] == "target_hit":
-            cell[0] += 1
-    for (label, f, d), (succ, total) in sorted(summary.items()):
+    phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
+    for (label, f, d), curve in sorted(build_ert_tables(records).items()):
+        _, succ, total = curve[phi_exp]
         print(f"{label:8s} F{f:<3d} {d:>2d}D  {succ}/{total} successes")
     for cell, message in failures:
         print(f"FAILED {cell}: {message}", file=sys.stderr)
@@ -197,16 +192,12 @@ def _write_table(path, header, rows):
             fh.write("\t".join(str(v) for v in row) + "\n")
 
 
-def resolve_log(path):
-    """Path of a run log given as a file or as the bench directory holding it."""
-    path = Path(path)
-    return path / "runs.jsonl" if path.is_dir() else path
-
-
 def _read_log(path):
-    """Records of the run log at ``path``; None, with the reason on stderr,
-    when it is missing or holds no parseable record."""
-    log_path = resolve_log(path)
+    """Records of the run log at ``path``, a file or the bench directory
+    holding it; None, with the reason on stderr, when it is missing or
+    holds no parseable record."""
+    log_path = Path(path)
+    log_path = log_path / "runs.jsonl" if log_path.is_dir() else log_path
     if not log_path.exists():
         print(f"no run log at {log_path}", file=sys.stderr)
         return None
@@ -226,27 +217,18 @@ def cmd_analyze(args):
     outdir = Path(args.out)
     tables = build_ert_tables(records)
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
-    rows = []
-    for (label, f, d), curve in sorted(tables.items()):
-        for e in DEFAULT_GRID.exponents:
-            value, succ, total = curve[e]
-            rows.append((label, f, d, e, value, succ, total))
     _write_table(outdir / "ert_table.tsv",
                  ["algorithm", "function_id", "dimension", "target_exponent",
-                  "ert", "successes", "runs"], rows)
+                  "ert", "successes", "runs"],
+                 [(label, f, d, e, *curve[e])
+                  for (label, f, d), curve in sorted(tables.items())
+                  for e in DEFAULT_GRID.exponents])
 
     reports = build_vbs_reports(tables, phi_exp)
-    rep_rows = [
-        (r.function_id, r.dimension, r.static_algorithm, r.static_ert,
-         r.dyn_a1, r.dyn_a2,
-         "" if r.dyn_tau_exponent is None else r.dyn_tau_exponent,
-         r.dyn_theoretical_ert, r.theoretical_gain)
-        for r in reports
-    ]
+    # an identity pair's tau (None) is written as an empty cell
     _write_table(outdir / "vbs_report.tsv",
-                 ["function_id", "dimension", "static_algorithm", "static_ert",
-                  "dyn_a1", "dyn_a2", "dyn_tau_exponent", "dyn_theoretical_ert",
-                  "theoretical_gain"], rep_rows)
+                 [f.name for f in fields(VbsReport)],
+                 [["" if v is None else v for v in astuple(r)] for r in reports])
 
     table = use_case_table(reports)
     _write_table(outdir / "use_cases.tsv",
@@ -276,7 +258,6 @@ def _parse_plan(text):
 
 
 def cmd_switch(args):
-    plans = args.plan or []
     plan_cells = []  # (a1, a2, tau, f, d)
     if args.from_analysis:
         vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
@@ -293,25 +274,19 @@ def cmd_switch(args):
                   f"{analysis_phi}, not {args.phi:g}: rerun "
                   f"`dynswitch analyze --phi {args.phi:g}`", file=sys.stderr)
             return 1
-        with open(vbs_path) as fh:
-            header = fh.readline().strip().split("\t")
-            for line in fh:
-                row = dict(zip(header, line.rstrip("\n").split("\t")))
-                if row["dyn_a1"] == row["dyn_a2"] or not row["dyn_tau_exponent"]:
-                    continue
-                plan_cells.append((
-                    row["dyn_a1"], row["dyn_a2"],
-                    10.0 ** float(row["dyn_tau_exponent"]),
-                    int(row["function_id"]), int(row["dimension"]),
-                ))
-    if plans:
+        with open(vbs_path, newline="") as fh:
+            plan_cells.extend(
+                (row["dyn_a1"], row["dyn_a2"],
+                 10.0 ** float(row["dyn_tau_exponent"]),
+                 int(row["function_id"]), int(row["dimension"]))
+                for row in csv.DictReader(fh, delimiter="\t")
+                if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"])
+    if args.plan:
         if not args.functions or not args.dims:
             print("--plan needs --functions and --dims", file=sys.stderr)
             return 1
-        for a1, a2, tau in plans:
-            for f in args.functions:
-                for d in args.dims:
-                    plan_cells.append((a1, a2, tau, f, d))
+        plan_cells += [(a1, a2, tau, f, d) for a1, a2, tau in args.plan
+                       for f in args.functions for d in args.dims]
     # the static log is read before any run, so a bad path fails at once
     static_tables = None
     if args.logs:
@@ -320,13 +295,14 @@ def cmd_switch(args):
             return 1
         # static and actual ERT are only comparable at the same budget
         planned = {(f, d) for *_, f, d in plan_cells}
-        mismatched = sorted(
-            (r["function_id"], r["dimension"], r["budget"])
-            for r in static_records
-            if (r["function_id"], r["dimension"]) in planned
-            and r["budget"] != args.budget_mult * r["dimension"])
+        mismatched = min(
+            ((r["function_id"], r["dimension"], r["budget"])
+             for r in static_records
+             if (r["function_id"], r["dimension"]) in planned
+             and r["budget"] != args.budget_mult * r["dimension"]),
+            default=None)
         if mismatched:
-            f, d, budget = mismatched[0]
+            f, d, budget = mismatched
             print(f"static log has budget {budget} for F{f} {d}D, but "
                   f"--budget-mult {args.budget_mult} gives "
                   f"{args.budget_mult * d}", file=sys.stderr)
@@ -337,12 +313,12 @@ def cmd_switch(args):
         args, {a for a1, a2, *_ in plan_cells for a in (a1, a2)})
     policy = _policy_from_args(args)
     switch_cells = [(SwitchPlan(a1=configs[a1], a2=configs[a2], tau=tau,
-                                phi=args.phi, policy=policy), a1, a2, f, d)
+                                phi=args.phi, policy=policy), f, d)
                     for a1, a2, tau, f, d in plan_cells]
     problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
                 for *_, f, d in plan_cells for i in args.instances}
     tasks = [(plan, problems[f, d, i], args.budget_mult * d, run)
-             for plan, *_, f, d in switch_cells
+             for plan, f, d in switch_cells
              for i in args.instances for run in range(args.runs)]
     outdir = Path(args.out)
     records, failures = run_switch_tasks(tasks, args.seed,
@@ -350,32 +326,13 @@ def cmd_switch(args):
     _write_records(outdir / "switch_runs.jsonl", records)
     _write_manifest(outdir, args, {"records": len(records)})
 
-    # actual-vs-theoretical report, one row per executed plan cell
-    phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
-    switch_tables = build_ert_tables(records)
-    rows = []
-    for plan, a1, a2, f, d in switch_cells:
-        curve = switch_tables.get((plan.label(), f, d))
-        actual = curve[phi_exp][0] if curve else math.inf
-        static_val = theoretical = ""
-        if static_tables:
-            cell = {lab: c for (lab, ff, dd), c in static_tables.items()
-                    if ff == f and dd == d}
-            if cell:
-                static_val = min(c[phi_exp][0] for c in cell.values())
-                if a1 in cell and a2 in cell:
-                    theoretical = theoretical_performance(
-                        cell[a1], cell[a2], plan.tau_exponent, phi_exp)
-        row_gains = ("", "", "")
-        if static_val != "" and theoretical != "" and math.isfinite(static_val):
-            row_gains = gains(static_val, theoretical, actual)
-        rows.append((a1, a2, f, d, plan.tau, static_val,
-                     theoretical, actual, *row_gains))
     _write_table(outdir / "switch_report.tsv",
                  ["a1", "a2", "function_id", "dimension", "tau",
                   "static_ert", "theoretical_ert", "actual_ert",
                   "theoretical_gain", "actual_gain", "actual_vs_theoretical"],
-                 rows)
+                 switch_report(switch_cells, build_ert_tables(records),
+                               static_tables,
+                               DEFAULT_GRID.snap_exponent(args.phi)))
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     print(f"executed {len(records)} switch runs -> {outdir}")
@@ -407,9 +364,8 @@ def cmd_sweep_tau(args):
                    r["evals_used"], int(phi_exp in r["hit_at"]),
                    r["switch_eval"]) for r in records])
     _write_records(outdir / "sweep_runs.jsonl", records)
-    header = ["tau_exponent", "mean", "std", "successes", "runs", "ert"]
-    _write_table(outdir / "sweep_summary.tsv", header,
-                 [[s[h] for h in header] for s in summary])
+    _write_table(outdir / "sweep_summary.tsv", summary[0].keys(),
+                 [s.values() for s in summary])
     _write_manifest(outdir, args, {"rows": len(records)})
     print(f"swept {len(exps)} switching points -> {outdir}")
     return 0

@@ -45,9 +45,6 @@ class ProblemId:
         if self.instance < 1:
             raise ConfigurationError(f"instance must be >= 1, got {self.instance}")
 
-    def label(self) -> str:
-        return f"F{self.function_id}_{self.dimension}D_i{self.instance}"
-
 
 def _read_only(a):
     a.setflags(write=False)

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .analysis import ert_curve
+from .analysis import tau_summary
 from .optimizers import OptimizerConfig, drive, make_optimizer
 from .optimizers.bfgs import TRAJECTORY_WINDOW
 from .problems import ProblemInstance
@@ -213,9 +213,8 @@ def sweep_tau(
 
     Runs ``runs_per_instance`` switch runs per (tau, problem instance).
     Returns (records, summary): the switch run records in (tau, problem,
-    run) order, and per tau (keyed by its grid exponent) the mean/std of the
-    hitting time at phi (evaluations consumed when phi was missed) and the
-    ERT at phi.  Raises RuntimeError naming every run that raised.
+    run) order, and their :func:`~dynswitch.analysis.tau_summary`.  Raises
+    RuntimeError naming every run that raised.
     """
     plans = [SwitchPlan(a1=a1, a2=a2, tau=10.0 ** tau_exp, phi=phi,
                         policy=policy) for tau_exp in tau_exponents]
@@ -225,14 +224,4 @@ def sweep_tau(
     if failures:
         raise RuntimeError("\n  ".join(
             [f"{len(failures)} of {len(tasks)} sweep runs failed:", *failures]))
-    phi_exp = DEFAULT_GRID.snap_exponent(phi)
-    summary = []
-    for plan in plans:
-        cell = [r for r in records if r["tau"] == plan.tau]
-        costs = [r["hit_at"].get(phi_exp, r["evals_used"]) for r in cell]
-        ert, successes, runs = ert_curve(cell)[phi_exp]
-        summary.append({"tau_exponent": plan.tau_exponent,
-                        "mean": float(np.mean(costs)),
-                        "std": float(np.std(costs)), "successes": successes,
-                        "runs": runs, "ert": ert})
-    return records, summary
+    return records, tau_summary(records, DEFAULT_GRID.snap_exponent(phi))

@@ -104,9 +104,17 @@ def record_to_json(rec: dict) -> str:
     return json.dumps(dict(rec, hit_at=pairs), sort_keys=True, allow_nan=True)
 
 
+REPORT_FIELDS = frozenset(
+    {"algorithm_label", "function_id", "dimension", "budget", "evals_used"})
+
+
 def parse_record(line: str) -> dict:
+    """The record on a log line; KeyError when it lacks a field the reports
+    read (REPORT_FIELDS)."""
     rec = json.loads(line)
     rec["hit_at"] = {float(e): int(n) for e, n in rec["hit_at"]}
+    if not REPORT_FIELDS <= rec.keys():
+        raise KeyError(f"record lacks {sorted(REPORT_FIELDS - rec.keys())}")
     return rec
 
 

@@ -17,10 +17,14 @@ from dynswitch.analysis import (
     gains,
     heatmap_data,
     relative_gain,
+    switch_report,
+    tau_summary,
     theoretical_performance,
     use_case_table,
     vbs_dyn,
 )
+from dynswitch.optimizers import OptimizerConfig
+from dynswitch.switching import SwitchPlan
 from dynswitch.tracing import DEFAULT_GRID, parse_record, record_to_json
 
 
@@ -43,6 +47,10 @@ def test_ert_input_validation():
         ert([], 100)
     with pytest.raises(ValueError):
         ert([(50, 200)], 100)
+    # ert_curve hands ert the evaluations a record used, uncapped: a record
+    # over its budget is a broken log, not a run that used the budget
+    with pytest.raises(ValueError, match="500 evaluations, over the budget 100"):
+        ert_curve([make_record("A", 1, 2, {2.0: 3}, 500, budget=100)])
 
 
 def test_ert_permutation_invariant():
@@ -340,3 +348,59 @@ def test_use_case_table_excludes_identity():
     assert table[("A", "B")]["cells"] == [(1, 2), (8, 2)]
     assert table[("C", "D")]["count"] == 1
     assert ("A", "A") not in table
+
+
+def step_curve(value_to_tau, value_to_phi, tau_exponent=-2.0):
+    """ERT value_to_tau down to tau, value_to_phi beyond it."""
+    return {e: (value_to_tau if e >= tau_exponent else value_to_phi, 1, 1)
+            for e in DEFAULT_GRID.exponents}
+
+
+BFGS_CMAES = SwitchPlan(OptimizerConfig("BFGS"), OptimizerConfig("CMA-ES"),
+                        tau=1e-2)
+PLAN_COLUMNS = ("BFGS", "CMA-ES", 1, 2, 0.01)
+
+
+@pytest.mark.parametrize("static_tables, switch_ert, expected", [
+    # present pair: 100 + 400 - 50 theoretically, against the static 100
+    ({("BFGS", 1, 2): constant_curve(100.0),
+      ("CMA-ES", 1, 2): step_curve(50.0, 400.0)}, 300.0,
+     (100.0, 450.0, 300.0, -3.5, -2.0, 1 / 3)),
+    # infinite static ERT: no gain relative to it
+    ({("BFGS", 1, 2): constant_curve(math.inf),
+      ("CMA-ES", 1, 2): constant_curve(math.inf)}, 300.0,
+     (math.inf, math.inf, 300.0, "", "", "")),
+    # the pair is absent from the static cell: a static best, no theory
+    ({("BFGS", 1, 2): constant_curve(100.0),
+      ("PSO", 1, 2): constant_curve(80.0)}, 300.0,
+     (80.0, "", 300.0, "", "", "")),
+    # the static log has no (1, 2) cell; the switch runs all missed phi
+    ({("BFGS", 8, 2): constant_curve(100.0)}, math.inf,
+     ("", "", math.inf, "", "", "")),
+    # no static log at all; no switch record for the cell
+    (None, None, ("", "", math.inf, "", "", "")),
+])
+def test_switch_report_rows(static_tables, switch_ert, expected):
+    switch_tables = {} if switch_ert is None else {
+        (BFGS_CMAES.label(), 1, 2): constant_curve(switch_ert)}
+    [row] = switch_report([(BFGS_CMAES, 1, 2)], switch_tables, static_tables,
+                          -8.0)
+    assert row == (*PLAN_COLUMNS, *expected)
+
+
+def test_tau_summary_per_tau_in_record_order():
+    # tau 10^0: one run reaches phi after 50, one misses it after 200;
+    # tau 10^-2: both reach it, after 40 and 60
+    def run(tau, evals, hit):
+        rec = make_record(f"X@{tau}", 1, 2, {-8.0: evals} if hit else {},
+                          evals)
+        return dict(rec, tau=tau)
+
+    records = [run(1.0, 50, True), run(1.0, 200, False),
+               run(0.01, 40, True), run(0.01, 60, True)]
+    assert tau_summary(records, -8.0) == [
+        {"tau_exponent": 0.0, "mean": 125.0, "std": 75.0, "successes": 1,
+         "runs": 2, "ert": 250.0},
+        {"tau_exponent": -2.0, "mean": 50.0, "std": 10.0, "successes": 2,
+         "runs": 2, "ert": 50.0},
+    ]

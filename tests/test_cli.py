@@ -10,7 +10,8 @@ import pytest
 import dynswitch
 from dynswitch import switching
 from dynswitch.cli import cell_seed, main
-from dynswitch.tracing import DEFAULT_GRID, RunTrace, load_records
+from dynswitch.tracing import (DEFAULT_GRID, RunTrace, load_records,
+                               record_to_json)
 
 
 # 2 instances x 3 runs
@@ -134,6 +135,28 @@ def test_analyze_skips_malformed_lines(bench_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--logs", str(log), "--out", str(out)]) == 0
     assert "skipped 1 malformed" in capsys.readouterr().err
+
+
+def test_analyze_skips_a_record_without_report_fields(
+        bench_dir, analysis_dir, tmp_path, capsys):
+    # the line parses, but lacks every field the tables group and count by
+    log = tmp_path / "runs.jsonl"
+    log.write_text('{"hit_at": []}\n' + (bench_dir / "runs.jsonl").read_text())
+    out = tmp_path / "out"
+    assert main(["analyze", "--logs", str(log), "--out", str(out)]) == 0
+    assert "skipped 1 malformed" in capsys.readouterr().err
+    assert (out / "ert_table.tsv").read_bytes() == \
+        (analysis_dir / "ert_table.tsv").read_bytes()
+
+
+def test_analyze_refuses_a_run_over_its_budget(bench_dir, tmp_path, capsys):
+    records, _ = load_records(bench_dir / "runs.jsonl")
+    over = dict(records[0], evals_used=records[0]["budget"] + 1)
+    log = tmp_path / "runs.jsonl"
+    log.write_text(record_to_json(over) + "\n")
+    assert main(["analyze", "--logs", str(log),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "over the budget" in capsys.readouterr().err
 
 
 def test_switch_requires_a_plan_source(tmp_path, capsys):
