@@ -9,7 +9,7 @@ unless the algorithm converged early on its own).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,15 @@ def build_ert_tables(records):
     return {key: ert_curve(recs) for key, recs in groups.items()}
 
 
+def ert_table(tables):
+    """ert_table.tsv: ERT, successes and runs per algorithm, cell, target."""
+    return (("algorithm", "function_id", "dimension", "target_exponent",
+             "ert", "successes", "runs"),
+            [(label, f, d, e, *curve[e])
+             for (label, f, d), curve in sorted(tables.items())
+             for e in DEFAULT_GRID.exponents])
+
+
 def _cells(tables):
     """{(function, dimension): {algorithm_label: curve}} from ERT tables."""
     cells = {}
@@ -99,6 +108,17 @@ def tau_summary(records, phi_exponent):
                         "std": float(np.std(costs)), "successes": successes,
                         "runs": runs, "ert": value})
     return summary
+
+
+def sweep_run_table(records, phi_exponent):
+    """sweep_runs.tsv, one row per run in record order: tau, the hitting time
+    of phi (inf if missed), evaluations, success and the switch evaluation."""
+    return (("tau_exponent", "instance", "run_index", "hit_phi", "evals_used",
+             "success", "switch_eval"),
+            [(DEFAULT_GRID.snap_exponent(r["tau"]), r["instance"],
+              r["run_index"], r["hit_at"].get(phi_exponent, math.inf),
+              r["evals_used"], int(phi_exponent in r["hit_at"]),
+              r["switch_eval"]) for r in records])
 
 
 def _ert_at(curve, exponent):
@@ -220,8 +240,15 @@ def build_vbs_reports(tables, phi_exponent):
     ]
 
 
+def vbs_table(reports):
+    """vbs_report.tsv: VbsReport's fields, one row per report; an identity
+    pair's tau (None) is an empty cell."""
+    return ([f.name for f in fields(VbsReport)],
+            [["" if v is None else v for v in astuple(r)] for r in reports])
+
+
 def switch_report(plans, switch_tables, static_tables, phi_exponent):
-    """Rows of switch_report.tsv, one per (plan, function, dimension): static
+    """switch_report.tsv, one row per (plan, function, dimension): static
     best, theoretical and actual ERT at phi, and the gains.  A cell absent
     from ``static_tables`` (or None) leaves the static columns empty."""
     static_cells = _cells(static_tables or {})
@@ -242,39 +269,29 @@ def switch_report(plans, switch_tables, static_tables, phi_exponent):
             row_gains = gains(static, theoretical, actual)
         rows.append((a1, a2, f, d, plan.tau, static, theoretical, actual,
                      *row_gains))
-    return rows
+    return (("a1", "a2", "function_id", "dimension", "tau", "static_ert",
+             "theoretical_ert", "actual_ert", "theoretical_gain",
+             "actual_gain", "actual_vs_theoretical"), rows)
 
 
-def heatmap_data(reports):
-    """Gain matrix cells for plotting: value capped below at 0, with flags.
-
-    Returns {(function_id, dimension): {"value", "negative", "infinite"}}.
-    """
-    cells = {}
-    for rep in reports:
-        gain = rep.theoretical_gain
-        infinite = math.isinf(gain) and gain < 0
-        negative = (gain < 0) and not math.isinf(gain)
-        value = 0.0 if (negative or infinite) else gain
-        cells[(rep.function_id, rep.dimension)] = {
-            "value": value,
-            "negative": negative,
-            "infinite": infinite,
-        }
-    return cells
+def heatmap_table(reports):
+    """heatmap.tsv, one row per report: the theoretical gain capped below at
+    0, flagged when it was negative and when it was -inf."""
+    return (("function_id", "dimension", "value", "negative", "infinite"),
+            [(r.function_id, r.dimension, max(r.theoretical_gain, 0.0),
+              int(-math.inf < r.theoretical_gain < 0),
+              int(r.theoretical_gain == -math.inf)) for r in reports])
 
 
 def use_case_table(reports):
-    """Count (A1, A2) pairs leading the dynamic VBS; identity pairs are
-    'no switch' and excluded."""
-    table = {}
-    for rep in reports:
-        if rep.dyn_a1 == rep.dyn_a2:
-            continue
-        entry = table.setdefault((rep.dyn_a1, rep.dyn_a2),
-                                 {"count": 0, "cells": []})
-        entry["count"] += 1
-        entry["cells"].append((rep.function_id, rep.dimension))
-    for entry in table.values():
-        entry["cells"].sort()
-    return table
+    """use_cases.tsv: each (A1, A2) pair leading the dynamic VBS, with the
+    number and the sorted list of its cells; identity pairs are 'no switch'
+    and excluded."""
+    cells = {}
+    for r in sorted(reports, key=lambda r: (r.function_id, r.dimension)):
+        if r.dyn_a1 != r.dyn_a2:
+            cells.setdefault((r.dyn_a1, r.dyn_a2), []).append(
+                f"F{r.function_id}/{r.dimension}D")
+    return (("a1", "a2", "count", "cells"),
+            [(a1, a2, len(c), ";".join(c))
+             for (a1, a2), c in sorted(cells.items())])

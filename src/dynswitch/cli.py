@@ -11,19 +11,20 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
-from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__
+# the benchmark's tracer patches build_ert_tables and build_vbs_reports here
 from .analysis import (
-    VbsReport,
     build_ert_tables,
     build_vbs_reports,
-    heatmap_data,
+    ert_table,
+    heatmap_table,
+    sweep_run_table,
     switch_report,
     use_case_table,
+    vbs_table,
 )
 from .optimizers import OptimizerConfig, canonical_algorithm, run_single
 from .problems import IMPLEMENTED_FUNCTIONS, ProblemId, instantiate
@@ -156,11 +157,10 @@ def _write_records(path, records):
             fh.write(record_to_json(rec) + "\n")
 
 
-def _write_manifest(outdir, args, extra=None):
+def _write_manifest(outdir, args, extra):
     settings = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     settings["version"] = __version__
-    if extra:
-        settings.update(extra)
+    settings.update(extra)
     with _create(outdir / "manifest.json") as fh:
         fh.write(json.dumps(settings, indent=2, sort_keys=True) + "\n")
 
@@ -216,32 +216,12 @@ def cmd_analyze(args):
         return 1
     outdir = Path(args.out)
     tables = build_ert_tables(records)
-    phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
-    _write_table(outdir / "ert_table.tsv",
-                 ["algorithm", "function_id", "dimension", "target_exponent",
-                  "ert", "successes", "runs"],
-                 [(label, f, d, e, *curve[e])
-                  for (label, f, d), curve in sorted(tables.items())
-                  for e in DEFAULT_GRID.exponents])
-
-    reports = build_vbs_reports(tables, phi_exp)
-    # an identity pair's tau (None) is written as an empty cell
-    _write_table(outdir / "vbs_report.tsv",
-                 [f.name for f in fields(VbsReport)],
-                 [["" if v is None else v for v in astuple(r)] for r in reports])
-
-    table = use_case_table(reports)
-    _write_table(outdir / "use_cases.tsv",
-                 ["a1", "a2", "count", "cells"],
-                 [(a1, a2, entry["count"],
-                   ";".join(f"F{f}/{d}D" for f, d in entry["cells"]))
-                  for (a1, a2), entry in sorted(table.items())])
-
-    cells = heatmap_data(reports)
-    _write_table(outdir / "heatmap.tsv",
-                 ["function_id", "dimension", "value", "negative", "infinite"],
-                 [(f, d, c["value"], int(c["negative"]), int(c["infinite"]))
-                  for (f, d), c in sorted(cells.items())])
+    reports = build_vbs_reports(tables, DEFAULT_GRID.snap_exponent(args.phi))
+    for name, table in (("ert_table", ert_table(tables)),
+                        ("vbs_report", vbs_table(reports)),
+                        ("use_cases", use_case_table(reports)),
+                        ("heatmap", heatmap_table(reports))):
+        _write_table(outdir / f"{name}.tsv", *table)
     _write_manifest(outdir, args, {"records": len(records)})
     print(f"analyzed {len(records)} records -> {len(reports)} cells "
           f"({outdir})")
@@ -275,11 +255,18 @@ def cmd_switch(args):
                   f"`dynswitch analyze --phi {args.phi:g}`", file=sys.stderr)
             return 1
         with open(vbs_path, newline="") as fh:
+            rows = csv.DictReader(fh, delimiter="\t")
+            missing = [name for name in vbs_table([])[0]
+                       if name not in (rows.fieldnames or ())]
+            if missing:
+                print(f"{vbs_path} lacks the columns {', '.join(missing)}: "
+                      f"rerun `dynswitch analyze`", file=sys.stderr)
+                return 1
             plan_cells.extend(
                 (row["dyn_a1"], row["dyn_a2"],
                  10.0 ** float(row["dyn_tau_exponent"]),
                  int(row["function_id"]), int(row["dimension"]))
-                for row in csv.DictReader(fh, delimiter="\t")
+                for row in rows
                 if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"])
     if args.plan:
         if not args.functions or not args.dims:
@@ -327,12 +314,9 @@ def cmd_switch(args):
     _write_manifest(outdir, args, {"records": len(records)})
 
     _write_table(outdir / "switch_report.tsv",
-                 ["a1", "a2", "function_id", "dimension", "tau",
-                  "static_ert", "theoretical_ert", "actual_ert",
-                  "theoretical_gain", "actual_gain", "actual_vs_theoretical"],
-                 switch_report(switch_cells, build_ert_tables(records),
-                               static_tables,
-                               DEFAULT_GRID.snap_exponent(args.phi)))
+                 *switch_report(switch_cells, build_ert_tables(records),
+                                static_tables,
+                                DEFAULT_GRID.snap_exponent(args.phi)))
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     print(f"executed {len(records)} switch runs -> {outdir}")
@@ -356,13 +340,7 @@ def cmd_sweep_tau(args):
         policy=_policy_from_args(args),
         early_switch=not args.no_early_switch, jobs=args.jobs,
     )
-    _write_table(outdir / "sweep_runs.tsv",
-                 ["tau_exponent", "instance", "run_index", "hit_phi",
-                  "evals_used", "success", "switch_eval"],
-                 [(DEFAULT_GRID.snap_exponent(r["tau"]), r["instance"],
-                   r["run_index"], r["hit_at"].get(phi_exp, math.inf),
-                   r["evals_used"], int(phi_exp in r["hit_at"]),
-                   r["switch_eval"]) for r in records])
+    _write_table(outdir / "sweep_runs.tsv", *sweep_run_table(records, phi_exp))
     _write_records(outdir / "sweep_runs.jsonl", records)
     _write_table(outdir / "sweep_summary.tsv", summary[0].keys(),
                  [s.values() for s in summary])

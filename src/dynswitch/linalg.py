@@ -7,14 +7,15 @@ import logging
 import numpy as np
 
 log = logging.getLogger(__name__)
+SPD_FLOOR_RATIO = 1e-14
 
 
 def symmetrize(m):
     return (m + m.T) / 2.0
 
 
-def repair_spd(m, floor_ratio=1e-14, warn_context=""):
-    """Symmetrize and floor eigenvalues at floor_ratio * max eigenvalue.
+def repair_spd(m, warn_context=""):
+    """Symmetrize and floor eigenvalues at SPD_FLOOR_RATIO * max eigenvalue.
 
     Returns a matrix guaranteed SPD (up to numerics).  Logs a warning when a
     repair actually changed the spectrum.
@@ -26,7 +27,7 @@ def repair_spd(m, floor_ratio=1e-14, warn_context=""):
         log.warning("matrix with no positive eigenvalue%s; resetting to identity",
                     f" ({warn_context})" if warn_context else "")
         return np.eye(m.shape[0])
-    floor = floor_ratio * max_eig
+    floor = SPD_FLOOR_RATIO * max_eig
     if vals[0] < floor:
         # only complain about genuinely indefinite input; eigenvalues that
         # dip below the floor by roundoff are repaired silently

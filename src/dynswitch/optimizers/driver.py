@@ -83,12 +83,11 @@ def run_single(
     final_target: float = DEFAULT_FINAL_TARGET,
     seed: int = 0,
     run_index: int = 0,
-    label: str | None = None,
 ) -> RunTrace:
     """One full static run; deterministic given (config, problem, seed)."""
     ev = BudgetedEvaluator(
         problem, budget, stop_target=final_target,
-        algorithm_label=label or config.algorithm, run_index=run_index,
+        algorithm_label=config.algorithm, run_index=run_index,
     )
     rng = np.random.default_rng(seed)
     optimizer = make_optimizer(config, problem.dimension, rng)

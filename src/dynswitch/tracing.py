@@ -104,17 +104,20 @@ def record_to_json(rec: dict) -> str:
     return json.dumps(dict(rec, hit_at=pairs), sort_keys=True, allow_nan=True)
 
 
-REPORT_FIELDS = frozenset(
-    {"algorithm_label", "function_id", "dimension", "budget", "evals_used"})
+REPORT_FIELDS = {"algorithm_label": str, "function_id": int, "dimension": int,
+                 "budget": int, "evals_used": int}
 
 
 def parse_record(line: str) -> dict:
-    """The record on a log line; KeyError when it lacks a field the reports
-    read (REPORT_FIELDS)."""
+    """The record on a log line; ValueError when it lacks a field the reports
+    read (REPORT_FIELDS) or holds one of another type (a bool is not an int).
+    """
     rec = json.loads(line)
     rec["hit_at"] = {float(e): int(n) for e, n in rec["hit_at"]}
-    if not REPORT_FIELDS <= rec.keys():
-        raise KeyError(f"record lacks {sorted(REPORT_FIELDS - rec.keys())}")
+    bad = [name for name, kind in REPORT_FIELDS.items()
+           if type(rec.get(name)) is not kind]
+    if bad:
+        raise ValueError(f"record lacks or mistypes the fields {bad}")
     return rec
 
 

@@ -15,7 +15,7 @@ from dynswitch.analysis import (
     ert,
     ert_curve,
     gains,
-    heatmap_data,
+    heatmap_table,
     relative_gain,
     switch_report,
     tau_summary,
@@ -330,10 +330,10 @@ def test_heatmap_capping_and_flags():
         report(8, 2, -0.3),
         report(10, 2, -math.inf),
     ]
-    cells = heatmap_data(reports)
-    assert cells[(1, 2)] == {"value": 0.4, "negative": False, "infinite": False}
-    assert cells[(8, 2)] == {"value": 0.0, "negative": True, "infinite": False}
-    assert cells[(10, 2)] == {"value": 0.0, "negative": False, "infinite": True}
+    header, rows = heatmap_table(reports)
+    assert header == ("function_id", "dimension", "value", "negative",
+                      "infinite")
+    assert rows == [(1, 2, 0.4, 0, 0), (8, 2, 0.0, 1, 0), (10, 2, 0.0, 0, 1)]
 
 
 def test_use_case_table_excludes_identity():
@@ -343,11 +343,10 @@ def test_use_case_table_excludes_identity():
         report(10, 2, 0.1, a1="C", a2="D"),
         report(11, 2, 0.0, a1="A", a2="A"),
     ]
-    table = use_case_table(reports)
-    assert table[("A", "B")]["count"] == 2
-    assert table[("A", "B")]["cells"] == [(1, 2), (8, 2)]
-    assert table[("C", "D")]["count"] == 1
-    assert ("A", "A") not in table
+    header, rows = use_case_table(reports[::-1])
+    assert header == ("a1", "a2", "count", "cells")
+    # pairs sorted, each with its cells sorted; the identity pair A>A absent
+    assert rows == [("A", "B", 2, "F1/2D;F8/2D"), ("C", "D", 1, "F10/2D")]
 
 
 def step_curve(value_to_tau, value_to_phi, tau_exponent=-2.0):
@@ -383,8 +382,12 @@ PLAN_COLUMNS = ("BFGS", "CMA-ES", 1, 2, 0.01)
 def test_switch_report_rows(static_tables, switch_ert, expected):
     switch_tables = {} if switch_ert is None else {
         (BFGS_CMAES.label(), 1, 2): constant_curve(switch_ert)}
-    [row] = switch_report([(BFGS_CMAES, 1, 2)], switch_tables, static_tables,
-                          -8.0)
+    header, [row] = switch_report([(BFGS_CMAES, 1, 2)], switch_tables,
+                                  static_tables, -8.0)
+    assert header == ("a1", "a2", "function_id", "dimension", "tau",
+                      "static_ert", "theoretical_ert", "actual_ert",
+                      "theoretical_gain", "actual_gain",
+                      "actual_vs_theoretical")
     assert row == (*PLAN_COLUMNS, *expected)
 
 

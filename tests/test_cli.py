@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import dynswitch
-from dynswitch import switching
+from dynswitch import cli, switching
+from dynswitch.analysis import VbsReport, vbs_table
 from dynswitch.cli import cell_seed, main
 from dynswitch.tracing import (DEFAULT_GRID, RunTrace, load_records,
                                record_to_json)
@@ -149,6 +151,23 @@ def test_analyze_skips_a_record_without_report_fields(
         (analysis_dir / "ert_table.tsv").read_bytes()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("budget", [1]), ("evals_used", "7"), ("function_id", True),
+    ("dimension", 2.0), ("algorithm_label", 3),
+])
+def test_analyze_skips_a_record_with_a_field_of_the_wrong_type(
+        field, value, bench_dir, analysis_dir, tmp_path, capsys):
+    records, _ = load_records(bench_dir / "runs.jsonl")
+    log = tmp_path / "runs.jsonl"
+    log.write_text(record_to_json(dict(records[0], **{field: value})) + "\n"
+                   + (bench_dir / "runs.jsonl").read_text())
+    out = tmp_path / "out"
+    assert main(["analyze", "--logs", str(log), "--out", str(out)]) == 0
+    assert "skipped 1 malformed" in capsys.readouterr().err
+    assert (out / "ert_table.tsv").read_bytes() == \
+        (analysis_dir / "ert_table.tsv").read_bytes()
+
+
 def test_analyze_refuses_a_run_over_its_budget(bench_dir, tmp_path, capsys):
     records, _ = load_records(bench_dir / "runs.jsonl")
     over = dict(records[0], evals_used=records[0]["budget"] + 1)
@@ -248,6 +267,55 @@ def test_switch_from_analysis_refuses_analysis_without_manifest(
     err = capsys.readouterr().err
     assert "no manifest.json" in err and "rerun `dynswitch analyze" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dropped", [
+    ("dyn_a1", "dyn_a2", "dyn_tau_exponent"), ("function_id", "dimension"),
+])
+def test_switch_from_analysis_refuses_missing_columns(
+        dropped, analysis_dir, tmp_path, capsys):
+    analysis = tmp_path / "analysis"
+    analysis.mkdir()
+    (analysis / "manifest.json").write_bytes(
+        (analysis_dir / "manifest.json").read_bytes())
+    rows = [line.split("\t") for line in
+            (analysis_dir / "vbs_report.tsv").read_text().splitlines()]
+    kept = [i for i, name in enumerate(rows[0]) if name not in dropped]
+    (analysis / "vbs_report.tsv").write_text(
+        "".join("\t".join(row[i] for i in kept) + "\n" for row in rows))
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(analysis), *TWO_BY_THREE,
+                 "--budget-mult", "2000", "--out", str(out)]) == 1
+    assert f"lacks the columns {', '.join(dropped)}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_switch_from_analysis_reads_back_the_vbs_table(tmp_path, monkeypatch):
+    # vbs_report.tsv as analyze writes it, with an identity pair (no tau)
+    reports = [
+        VbsReport(1, 2, "BFGS", 40.0, "PSO", "BFGS", 1.2, 30.0, 0.25),
+        VbsReport(8, 3, "CMA-ES", 90.0, "CMA-ES", "CMA-ES", None, 90.0, 0.0),
+        VbsReport(10, 2, "BFGS", math.inf, "CMA-ES", "BFGS", -2.2, 500.0,
+                  math.inf),
+    ]
+    analysis = tmp_path / "analysis"
+    cli._write_table(analysis / "vbs_report.tsv", *vbs_table(reports))
+    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
+    read = []
+
+    def no_runs(tasks, *args):
+        read.extend((plan.a1.algorithm, plan.a2.algorithm, plan.tau_exponent,
+                     problem.id.function_id, problem.id.dimension)
+                    for plan, problem, *_ in tasks)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_switch_tasks", no_runs)
+    assert main(["switch", "--from-analysis", str(analysis), "--runs", "1",
+                 "--instances", "1", "--budget-mult", "50",
+                 "--out", str(tmp_path / "switch")]) == 0
+    assert read == [(r.dyn_a1, r.dyn_a2, r.dyn_tau_exponent, r.function_id,
+                     r.dimension) for r in reports if r.dyn_a1 != r.dyn_a2]
 
 
 def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
