@@ -23,6 +23,7 @@ GRADIENT_TOLERANCE = 1e-10
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 TRAJECTORY_WINDOW = 10  # ring buffer keeps window + 1 iterates
+SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 def finite_difference_gradient(ev, x, f_x=None):
@@ -30,12 +31,11 @@ def finite_difference_gradient(ev, x, f_x=None):
     x = np.asarray(x, dtype=float)
     if f_x is None:
         f_x = ev(x)
-    sqrt_eps = np.sqrt(np.finfo(float).eps)
     g = np.empty_like(x)
-    for i in range(x.size):
-        h = sqrt_eps * max(1.0, abs(x[i]))
+    for i, x_i in enumerate(x.tolist()):
+        h = SQRT_EPS * max(1.0, abs(x_i))
         xp = x.copy()
-        xp[i] += h
+        xp[i] = x_i + h
         g[i] = (ev(xp) - f_x) / h
     return g
 

@@ -51,8 +51,10 @@ def _read_only(a):
     return a
 
 
-# (c1, c2) of the oscillation transform, row 0 for x <= 0 and row 1 for x > 0
-_OSCILLATION_C = _read_only(np.array([[5.5, 3.1], [10.0, 7.9]]))
+# c1 (row 0) and c2 (row 1) of the oscillation transform; column 0 for a
+# clear sign bit, column 1 for a set one.  A zero coordinate has xhat = 0,
+# so the column it takes cannot matter
+_OSCILLATION_C = _read_only(np.array([[10.0, 5.5], [7.9, 3.1]]))
 
 
 def _oscillation(x):
@@ -64,10 +66,11 @@ def _oscillation(x):
     nonzero = np.count_nonzero(ax) == ax.size
     # log(1) = 0 exactly, so a zero coordinate gets xhat = 0
     xhat = np.log(ax if nonzero else np.where(x != 0.0, ax, 1.0))
-    t = _OSCILLATION_C.take(x > 0.0, 0)     # (d, 2): c1, c2 per coordinate
-    t *= xhat[:, None]
+    t = _OSCILLATION_C.take(np.signbit(x), 1)   # (2, d): c1, c2 per coordinate
+    t *= xhat
     np.sin(t, out=t)
-    s = np.add.reduce(t, axis=1)            # sin(c1 xhat) + sin(c2 xhat)
+    s = t[0]
+    s += t[1]                               # sin(c1 xhat) + sin(c2 xhat)
     s *= 0.049
     s += xhat
     np.exp(s, out=s)

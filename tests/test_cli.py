@@ -394,6 +394,30 @@ def test_config_overrides_are_applied(tmp_path):
     assert records[0]["evals_used"] > 0
 
 
+@pytest.mark.parametrize("override, reason", [
+    ({"population_size": 1}, "CMA-ES needs a population of at least 2, got 1"),
+    ({"sigma": math.nan}, "sigma must be finite and positive, got nan"),
+    ({"sigma": math.inf}, "sigma must be finite and positive, got inf"),
+])
+def test_bench_fails_a_cmaes_cell_it_cannot_run(override, reason, tmp_path,
+                                                 capsys):
+    # a population of 1 or a NaN step size used to end in a record that
+    # claimed convergence
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"CMA-ES": override}))
+    out = tmp_path / "out"
+    code = main([
+        "bench", "--algorithms", "CMA-ES", "--functions", "1", "--dims", "2",
+        "--runs", "1", "--instances", "1", "--budget-mult", "50",
+        "--config", str(cfg), "--out", str(out),
+    ])
+    assert code == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert failed == [f"FAILED ('CMA-ES', 1, 2, 1, 0): {reason}"]
+    assert (out / "runs.jsonl").read_text() == ""
+
+
 @pytest.mark.parametrize("command", [
     ["switch", "--plan", "CMA-ES:BFGS:1e-1", "--functions", "10",
      "--dims", "2"],
