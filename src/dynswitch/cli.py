@@ -109,13 +109,22 @@ def _grid_target(text):
 
 
 def _optimizer_configs(args, algorithms):
-    """OptimizerConfig per algorithm, with the --config overrides applied."""
-    overrides = {}
+    """OptimizerConfig per algorithm, with the --config overrides applied.
+
+    Every entry of the file is checked before any run, used or not.
+    """
+    loaded = {}
     if args.config:
         with open(args.config) as fh:
-            overrides = {canonical_algorithm(name): dict(values)
-                         for name, values in json.load(fh).items()}
-    return {a: OptimizerConfig(a, overrides.get(a, {})) for a in algorithms}
+            loaded = json.load(fh)
+        if not (isinstance(loaded, dict)
+                and all(isinstance(v, dict) for v in loaded.values())):
+            raise ValueError(f"--config {args.config} must hold a JSON object "
+                             f"of objects, one per algorithm, such as "
+                             f'{{"CMA-ES": {{"population_size": 12}}}}')
+    configs = {config.algorithm: config for config in (
+        OptimizerConfig(name, values) for name, values in loaded.items())}
+    return {a: configs.get(a, OptimizerConfig(a)) for a in algorithms}
 
 
 def _policy_from_args(args):

@@ -1,10 +1,11 @@
 """Quasi-Newton BFGS with finite-difference gradients and Wolfe line search.
 
 Gradients are forward differences (d extra evaluations per gradient call);
-the line search enforces strong Wolfe conditions.  A ring buffer of recent
-iterates and the running inverse-Hessian approximation are kept public so a
-successor algorithm can be warm-started from them.  No restart heuristics:
-after a second consecutive line-search failure the optimizer terminates.
+the line search enforces strong Wolfe conditions.  Every iterate, most
+recent first, and the running inverse-Hessian approximation are kept public
+so a successor algorithm can be warm-started from them.  No restart
+heuristics: after a second consecutive line-search failure the optimizer
+terminates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .local_search import line_search_wolfe2
 GRADIENT_TOLERANCE = 1e-10
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
-TRAJECTORY_WINDOW = 10  # ring buffer keeps window + 1 iterates
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -42,8 +42,7 @@ def finite_difference_gradient(ev, x, f_x=None):
 
 class Bfgs(Optimizer):
     def __init__(self, dim, rng, x0=None, inv_hessian=None,
-                 gradient_tolerance=GRADIENT_TOLERANCE,
-                 trajectory_window=TRAJECTORY_WINDOW):
+                 gradient_tolerance=GRADIENT_TOLERANCE):
         super().__init__(dim, rng)
         if x0 is None:
             x0 = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, size=dim)
@@ -55,8 +54,8 @@ class Bfgs(Optimizer):
             else symmetrize(np.asarray(inv_hessian, dtype=float))
         )
         self.gradient_tolerance = gradient_tolerance
-        # most-recent-first iterates, length trajectory_window + 1
-        self.recent_points = deque([self.x.copy()], maxlen=trajectory_window + 1)
+        # every iterate, most recent first: copies that nothing writes to
+        self.recent_points = deque([self.x.copy()])
         self._had_line_search_failure = False
         self._old_old_fval = None
         self._model_before_reset = None

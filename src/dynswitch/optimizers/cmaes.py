@@ -29,7 +29,8 @@ class Cmaes(Optimizer):
     def __init__(self, dim, rng, mean=None, sigma=0.5, C=None,
                  population_size=None):
         super().__init__(dim, rng)
-        lam = population_size or default_population_size(dim)
+        lam = (default_population_size(dim) if population_size is None
+               else population_size)
         if lam < 2:
             raise ValueError(f"CMA-ES needs a population of at least 2, got {lam}")
         self.sigma = float(sigma)

@@ -54,6 +54,15 @@ POPULATION_MULTIPLIER = 5
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
+def resolve_population_size(dim, size=None):
+    """DE's population: ``size`` members, 5d when it is None; below 4 is
+    refused."""
+    size = POPULATION_MULTIPLIER * dim if size is None else size
+    if size < 4:
+        raise ValueError(f"DE needs a population of at least 4, got {size}")
+    return size
+
+
 def crossover_mask(rng, dim, crossover_rate):
     """Binomial crossover mask with one uniformly chosen forced dimension."""
     mask = rng.random(dim) < crossover_rate
@@ -120,12 +129,11 @@ class De(Optimizer):
     def __init__(self, dim, rng, population=None, population_size=None,
                  crossover_rate=CROSSOVER_RATE, tol=CONVERGENCE_TOL):
         super().__init__(dim, rng)
-        size = population_size or POPULATION_MULTIPLIER * dim
+        size = resolve_population_size(
+            dim, population_size if population is None else len(population))
         if population is None:
             population = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, size=(size, dim))
         self.population = np.asarray(population, dtype=float)
-        if self.population.shape[0] < 4:
-            raise ValueError("DE needs a population of at least 4")
         self.values = np.full(self.population.shape[0], np.inf)
         self.crossover_rate = crossover_rate
         self.tol = tol

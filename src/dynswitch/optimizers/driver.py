@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,15 @@ class OptimizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", canonical_algorithm(self.algorithm))
+        # refused here, before any run, rather than by each constructor call
+        takes = [name for name in inspect.signature(
+                     ALGORITHMS[self.algorithm]).parameters
+                 if name not in ("dim", "rng")]
+        unknown = sorted(set(self.overrides) - set(takes))
+        if unknown:
+            raise ValueError(f"{self.algorithm} takes no setting "
+                             f"{', '.join(map(repr, unknown))}; it takes "
+                             f"{', '.join(takes)}")
 
 
 def make_optimizer(config: OptimizerConfig, dim: int, rng):

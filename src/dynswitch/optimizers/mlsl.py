@@ -71,7 +71,12 @@ class Mlsl(Optimizer):
                  local_budget_fraction=LOCAL_BUDGET_FRACTION,
                  f_tol=POWELL_F_TOL):
         super().__init__(dim, rng)
-        self.population_size = population_size or POPULATION_MULTIPLIER * dim
+        if population_size is None:
+            population_size = POPULATION_MULTIPLIER * dim
+        if population_size < 1:
+            raise ValueError(f"MLSL needs a population of at least 1, "
+                             f"got {population_size}")
+        self.population_size = population_size
         self.reduced_fraction = reduced_fraction
         self.local_budget_fraction = local_budget_fraction
         self.f_tol = f_tol

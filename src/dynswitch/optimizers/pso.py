@@ -19,6 +19,15 @@ VELOCITY_INIT_LOW = -1.0
 VELOCITY_INIT_HIGH = 1.0
 
 
+def resolve_swarm_size(size=None):
+    """PSO's swarm: ``size`` particles, 40 when it is None; below 1 is
+    refused."""
+    size = SWARM_SIZE if size is None else size
+    if size < 1:
+        raise ValueError(f"PSO needs a swarm of at least 1, got {size}")
+    return size
+
+
 def inertia(t: float) -> float:
     """Linearly decreasing inertia weight; t is normalized budget progress."""
     return 0.9 - 0.8 * t
@@ -28,10 +37,11 @@ class Pso(Optimizer):
     def __init__(self, dim, rng, positions=None, velocities=None,
                  swarm_size=SWARM_SIZE):
         super().__init__(dim, rng)
+        n = resolve_swarm_size(
+            swarm_size if positions is None else len(positions))
         if positions is None:
-            positions = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, size=(swarm_size, dim))
+            positions = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, size=(n, dim))
         self.positions = np.asarray(positions, dtype=float)
-        n = self.positions.shape[0]
         if velocities is None:
             velocities = rng.uniform(
                 VELOCITY_INIT_LOW, VELOCITY_INIT_HIGH, size=(n, dim)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .analysis import tau_summary
 from .optimizers import OptimizerConfig, drive, make_optimizer
-from .optimizers.bfgs import TRAJECTORY_WINDOW
 from .problems import ProblemInstance
 from .tracing import (
     DEFAULT_FINAL_TARGET,
@@ -57,11 +56,6 @@ class SwitchPlan:
             raise ValueError(
                 f"need tau > phi > 0, got tau={self.tau}, phi={self.phi}"
             )
-        kept = self.a1.overrides.get("trajectory_window", TRAJECTORY_WINDOW)
-        if ((self.a1.algorithm, self.a2.algorithm) == ("BFGS", "CMA-ES")
-                and self.policy.step_size_window > kept):
-            raise ValueError(f"step-size window {self.policy.step_size_window}"
-                             f" exceeds the {kept} steps BFGS keeps")
 
     @property
     def tau_exponent(self) -> float:

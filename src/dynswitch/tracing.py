@@ -49,8 +49,9 @@ class TargetGrid:
 
     def snap_exponent(self, value: float) -> float:
         """Exponent of the grid target nearest to ``value`` (a precision)."""
-        if value <= 0:
-            raise ValueError(f"precision targets must be positive, got {value}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(
+                f"precision targets must be positive and finite, got {value}")
         e = math.log10(value)
         return min(self.exponents, key=lambda g: (abs(g - e), -g))
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .linalg import repair_spd
 from .optimizers import Bfgs, Cmaes, De, Mlsl, Pso
-from .optimizers.de import POPULATION_MULTIPLIER
-from .optimizers.pso import SWARM_SIZE
+from .optimizers.de import resolve_population_size
+from .optimizers.pso import resolve_swarm_size
 from .problems import DOMAIN_HIGH, DOMAIN_LOW
 
 log = logging.getLogger(__name__)
@@ -64,7 +64,9 @@ class WarmStartState:
     inv_hessian: np.ndarray | None = None
     sigma: float | None = None
     covariance: np.ndarray | None = None
-    population: list | None = field(default=None, repr=False)  # (point, value)
+    # PSO's personal bests or DE's members as arrays (points, values)
+    population: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False)
 
 
 def extract(optimizer, best_point, best_value, evaluations_spent) -> WarmStartState:
@@ -83,21 +85,17 @@ def extract(optimizer, best_point, best_value, evaluations_spent) -> WarmStartSt
     if isinstance(optimizer, Bfgs):
         ws.inv_hessian = repair_spd(optimizer.inv_hessian,
                                     warn_context="BFGS inverse Hessian")
-        ws.recent_trajectory = [p.copy() for p in optimizer.recent_points]
+        # BFGS stores copies of its iterates and never writes to them
+        ws.recent_trajectory = list(optimizer.recent_points)
     elif isinstance(optimizer, Cmaes):
         # sigma and C summarize the population; it is deliberately omitted
         ws.sigma = float(optimizer.sigma)
         ws.covariance = repair_spd(optimizer.C, warn_context="CMA-ES covariance")
     elif isinstance(optimizer, Pso):
-        ws.population = [
-            (optimizer.pbest_positions[i].copy(), float(optimizer.pbest_values[i]))
-            for i in range(optimizer.pbest_positions.shape[0])
-        ]
+        ws.population = (optimizer.pbest_positions.copy(),
+                         optimizer.pbest_values.copy())
     elif isinstance(optimizer, De):
-        ws.population = [
-            (optimizer.population[i].copy(), float(optimizer.values[i]))
-            for i in range(optimizer.population.shape[0])
-        ]
+        ws.population = (optimizer.population.copy(), optimizer.values.copy())
     return ws
 
 
@@ -153,11 +151,12 @@ def warmstart_bfgs_from_cmaes(ws: WarmStartState, policy: WarmStartPolicy,
 
 
 def _population_size(target, dim, overrides):
-    """Swarm or population size, as the PSO and DE constructors choose it."""
+    """Swarm or population size, as the PSO and DE constructors choose and
+    check it."""
     overrides = overrides or {}
     if target == "PSO":
-        return overrides.get("swarm_size", SWARM_SIZE)
-    return overrides.get("population_size") or POPULATION_MULTIPLIER * dim
+        return resolve_swarm_size(overrides.get("swarm_size"))
+    return resolve_population_size(dim, overrides.get("population_size"))
 
 
 def warmstart_generic(ws: WarmStartState, target: str,
@@ -176,18 +175,17 @@ def warmstart_generic(ws: WarmStartState, target: str,
         return opt
     if target == "CMA-ES":
         sigma = DEFAULT_SIGMA
-        if ws.population:
-            coords = np.array([p for p, _ in ws.population])
-            spread = float(np.mean(np.std(coords, axis=0)))
+        if ws.population is not None:
+            spread = float(np.mean(np.std(ws.population[0], axis=0)))
             if spread > 0:
                 sigma = 0.5 * spread
         return _construct(Cmaes, dim, rng, overrides,
                           mean=ws.best_point.copy(), sigma=sigma)
     if target in ("PSO", "DE"):
         size = _population_size(target, dim, overrides)
-        ranked = sorted(ws.population or [], key=lambda pf: pf[1])[:size]
-        n_carried = len(ranked)
-        carried = np.array([p for p, _ in ranked]).reshape(n_carried, dim)
+        points, values = ws.population or (np.empty((0, dim)), np.empty(0))
+        carried = points[np.argsort(values, kind="stable")[:size]]
+        n_carried = len(carried)
         # padded with uniform draws in the eta-box around the best point
         eta = policy.hyperbox_radius
         low = np.clip(ws.best_point - eta, DOMAIN_LOW, DOMAIN_HIGH)

@@ -76,14 +76,24 @@ def test_model_stays_symmetric_positive_definite():
         pass
 
 
-def test_recent_points_window():
-    problem = FuncProblem(lambda x: float(np.sum(x * x)), 2)
-    ev = BudgetedEvaluator(problem, 10_000, stop_target=1e-13)
-    opt = Bfgs(2, np.random.default_rng(2), trajectory_window=3)
-    run_until_done(opt, ev)
-    assert 1 <= len(opt.recent_points) <= 4
-    # most recent first: head is the current iterate
-    assert np.array_equal(opt.recent_points[0], opt.x)
+def test_recent_points_hold_every_iterate():
+    # Rosenbrock takes BFGS well past ten iterates
+    problem = FuncProblem(
+        lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2, 2)
+    ev = BudgetedEvaluator(problem, 10_000, stop_target=1e-10)
+    opt = Bfgs(2, np.random.default_rng(2), x0=np.array([-1.2, 1.0]))
+    iterates = [opt.x.copy()]
+    try:
+        while not opt.finished:
+            opt.step(ev)
+            if not np.array_equal(opt.x, iterates[-1]):
+                iterates.append(opt.x.copy())
+    except StopRun:
+        pass
+    assert len(iterates) > 20
+    # most recent first: the head is the current iterate
+    assert [p.tobytes() for p in opt.recent_points] == [
+        p.tobytes() for p in reversed(iterates)]
 
 
 def test_injected_inverse_hessian_is_used():

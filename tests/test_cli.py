@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dynswitch
@@ -688,6 +689,10 @@ SMALL_COMMANDS = {
     ("switch", "--plan", "BFGS:CMA-ES:x", "--plan: not a number: 'x'"),
     ("switch", "--plan", "BFGS:CMA-ES", "plan must look like A1:A2:TAU"),
     ("bench", "--phi", "0", "--phi: precision targets must be positive"),
+    ("bench", "--phi", "nan",
+     "--phi: precision targets must be positive and finite, got nan"),
+    ("bench", "--phi", "inf",
+     "--phi: precision targets must be positive and finite, got inf"),
 ])
 def test_usage_errors_name_the_bad_value(command, option, value, named,
                                          tmp_path, capsys):
@@ -718,14 +723,16 @@ def test_usage_errors_name_the_bad_value(command, option, value, named,
     (["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
       "--dim", "2", "--phi", "100", "--runs", "1", "--instances", "1",
       "--budget-mult", "50"], "no switch run to execute"),
-    # BFGS keeps 10 steps of its trajectory: a longer window changes nothing
-    (["switch", "--plan", "BFGS:CMA-ES:1e-1", "--functions", "1", "--dims",
-      "2", "--step-window", "11", "--runs", "1", "--instances", "1",
-      "--budget-mult", "50"], "step-size window 11 exceeds the 10 steps"),
+    # a NaN target used to snap to 10^2
+    (["switch", "--plan", "BFGS:CMA-ES:nan", "--functions", "1", "--dims",
+      "2", "--runs", "1", "--instances", "1", "--budget-mult", "50"],
+     "precision targets must be positive and finite, got nan"),
     (["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
-      "--dim", "2", "--tau-exponents", "0", "--step-window", "20", "--runs",
-      "1", "--instances", "1", "--budget-mult", "50"],
-     "step-size window 20 exceeds the 10 steps"),
+      "--dim", "2", "--tau-exponents", "nan", "--runs", "1", "--instances",
+      "1", "--budget-mult", "50"],
+     "precision targets must be positive and finite, got nan"),
+    (["analyze", "--logs", "missing", "--phi", "nan"],
+     "--phi: precision targets must be positive and finite, got nan"),
 ])
 def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
                                                     capsys, monkeypatch):
@@ -734,6 +741,83 @@ def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
     assert run_cli(*argv, "--out", str(out)) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"CMA-ES": {"popsize": 4}}, "CMA-ES takes no setting 'popsize'"),
+    ({"bfgs": {"trajectory_window": 11}},
+     "BFGS takes no setting 'trajectory_window'"),
+    # refused even for an algorithm the command does not run
+    ({"MLSL": {"swarm_size": 4}}, "MLSL takes no setting 'swarm_size'"),
+    ([1, 2], "must hold a JSON object of objects"),
+    ({"BFGS": 3}, "must hold a JSON object of objects"),
+])
+@pytest.mark.parametrize("command", ["bench", "switch"])
+def test_config_is_checked_before_any_run(command, config, named, tmp_path,
+                                          capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    argv = {"bench": ["--algorithms", "BFGS,CMA-ES"],
+            "switch": ["--plan", "BFGS:CMA-ES:1"]}[command]
+    out = tmp_path / "out"
+    assert run_cli(command, *argv, "--functions", "1", "--dims", "2",
+                   "--instances", "1", "--runs", "1", "--budget-mult", "50",
+                   "--config", str(cfg), "--out", str(out)) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_switch_averages_any_step_window(tmp_path, monkeypatch):
+    # BFGS keeps every iterate, so a window of 20 steps averages 20 steps
+    seen = []
+    real_apply = switching.apply_warmstart
+
+    def spy(ws, *args, **kwargs):
+        a2 = real_apply(ws, *args, **kwargs)
+        seen.append((ws.recent_trajectory, a2.sigma))
+        return a2
+
+    monkeypatch.setattr(switching, "apply_warmstart", spy)
+    assert main(["switch", "--plan", "BFGS:CMA-ES:1e-4", "--functions", "8",
+                 "--dims", "2", "--step-window", "20", "--runs", "1",
+                 "--instances", "1", "--budget-mult", "1000",
+                 "--out", str(tmp_path / "out")]) == 0
+    [(trajectory, sigma)] = seen
+    assert len(trajectory) > 21
+    steps = [float(np.linalg.norm(trajectory[j] - trajectory[j + 1]))
+             for j in range(20)]
+    assert sigma == float(np.mean(steps))
+
+
+@pytest.mark.parametrize("command, config, reason", [
+    (["bench", "--algorithms", "CMA-ES"], {"CMA-ES": {"population_size": 0}},
+     "CMA-ES needs a population of at least 2, got 0"),
+    (["bench", "--algorithms", "DE"], {"DE": {"population_size": 0}},
+     "DE needs a population of at least 4, got 0"),
+    (["bench", "--algorithms", "MLSL"], {"MLSL": {"population_size": 0}},
+     "MLSL needs a population of at least 1, got 0"),
+    (["bench", "--algorithms", "PSO"], {"PSO": {"swarm_size": 0}},
+     "PSO needs a swarm of at least 1, got 0"),
+    (["bench", "--algorithms", "DE"], {"DE": {"population_size": -3}},
+     "DE needs a population of at least 4, got -3"),
+    # A2 built by the warm start
+    (["switch", "--plan", "CMA-ES:PSO:1"], {"PSO": {"swarm_size": 0}},
+     "PSO needs a swarm of at least 1, got 0"),
+    (["switch", "--plan", "PSO:DE:1"], {"DE": {"population_size": 0}},
+     "DE needs a population of at least 4, got 0"),
+])
+def test_a_population_of_zero_fails_its_cells(command, config, reason,
+                                              tmp_path, capsys):
+    # 0 used to mean the default size
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*command, "--functions", "1", "--dims", "2", "--runs", "1",
+                 "--instances", "1", "--budget-mult", "50",
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert len(failed) == 1 and failed[0].endswith(f": {reason}")
 
 
 @pytest.mark.parametrize("option, value, named", [

@@ -73,6 +73,33 @@ def test_extract_carries_algorithm_fields(cls, fields):
     assert ws.best_value == ev.best_f
 
 
+@pytest.mark.parametrize("cls", [Pso, De])
+def test_extract_is_a_snapshot(cls):
+    # several successors may be built from one extract, after A1 went on
+    opt = cls(2, np.random.default_rng(0))
+    ev = run_a_little(opt, sphere(), steps=2)
+    ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
+    points, values = (a.copy() for a in ws.population)
+    run_a_little(opt, sphere(), steps=3)
+    assert np.array_equal(ws.population[0], points)
+    assert np.array_equal(ws.population[1], values)
+    # and A1 did move on
+    moved = opt.pbest_positions if cls is Pso else opt.population
+    assert not np.array_equal(moved, points)
+
+
+def test_generic_transfer_carries_the_best_members_in_value_order():
+    # ties keep their row order
+    points = np.array([[float(i), 0.0] for i in range(6)])
+    values = np.array([3.0, 1.0, np.inf, 1.0, 0.5, 2.0])
+    ws = WarmStartState(best_point=points[4], best_value=0.5,
+                        population=(points, values))
+    de = apply_warmstart(ws, "PSO", "DE", default_policy(),
+                         np.random.default_rng(0),
+                         overrides={"population_size": 4})
+    assert np.array_equal(de.population, points[[4, 1, 3, 5]])
+
+
 def test_extract_cmaes_omits_population():
     opt = Cmaes(2, np.random.default_rng(0))
     ev = run_a_little(opt, sphere(), steps=2)
@@ -213,7 +240,7 @@ def test_cmaes_from_mlsl_is_mean_only():
 
 
 def test_generic_population_transfer_keeps_best_point():
-    pop = [(np.array([float(i), 0.0]), float(i)) for i in range(5)]
+    pop = (np.array([[float(i), 0.0] for i in range(5)]), np.arange(5.0))
     ws = WarmStartState(best_point=np.array([0.0, 0.0]), best_value=0.0,
                         population=pop)
     de = apply_warmstart(ws, "PSO", "DE", default_policy(),
@@ -288,7 +315,7 @@ def test_full_transfer_beats_point_only_after_bfgs():
 def test_a2_overrides_apply_and_warm_state_wins():
     best = np.array([1.5, 0.5])
     ws = WarmStartState(best_point=best, best_value=1.0,
-                        population=[(best, 1.0)])
+                        population=(best[None, :], np.array([1.0])))
     cma = apply_warmstart(ws, "MLSL", "CMA-ES", default_policy(),
                           np.random.default_rng(0),
                           overrides={"population_size": 12,
