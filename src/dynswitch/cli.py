@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,6 +90,32 @@ def _float(text):
         return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _positive(text):
+    """A finite float above zero: --eta and --beta."""
+    value = _float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _tau_exponents(text):
+    """--tau-exponents: each 10**e must be a positive, finite precision."""
+    out = []
+    for chunk in text.split(","):
+        e = _float(chunk)
+        try:
+            tau = 10.0 ** e
+        except OverflowError:
+            tau = math.inf
+        try:
+            DEFAULT_GRID.snap_exponent(tau)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"tau exponent {chunk!r}: {exc}") from None
+        out.append(e)
+    return out
 
 
 def _unique(values, what):
@@ -376,8 +403,8 @@ def _add_warmstart(parser):
     parser.add_argument("--warmstart-mode",
                         choices=[MODE_POINT_ONLY, MODE_FULL], default=MODE_FULL)
     parser.add_argument("--step-window", type=int, default=10)
-    parser.add_argument("--eta", type=float, default=0.1)
-    parser.add_argument("--beta", type=float, default=1.0)
+    parser.add_argument("--eta", type=_positive, default=0.1)
+    parser.add_argument("--beta", type=_positive, default=1.0)
     parser.add_argument("--no-early-switch", action="store_true",
                         help="do not switch when A1 converges above tau")
 
@@ -436,7 +463,7 @@ def build_parser():
                    required=True)
     p.add_argument("--dim", type=lambda s: _count(s, 2), required=True)
     p.add_argument("--tau-exponents",
-                   type=lambda s: [_float(x) for x in s.split(",")],
+                   type=_tau_exponents,
                    help="comma-separated exponents, snapped to the grid; "
                         "default: full grid")
     _add_common(p)

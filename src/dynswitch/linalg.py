@@ -60,5 +60,5 @@ def repair_spd(m, warn_context=""):
                         f" ({warn_context})" if warn_context else "",
                         float(vals[0]), floor)
         vals = np.maximum(vals, floor)
-        m = symmetrize((vecs * vals) @ vecs.T)
+        m = symmetrize((vecs * vals).dot(vecs.T))
     return m

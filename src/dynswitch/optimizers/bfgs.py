@@ -75,15 +75,15 @@ class Bfgs(Optimizer):
             self.f = ev(self.x)
         if self.grad is None:
             self.grad = finite_difference_gradient(ev, self.x, self.f)
-        if np.linalg.norm(self.grad, ord=np.inf) <= self.gradient_tolerance:
+        if np.abs(self.grad).max() <= self.gradient_tolerance:
             self._restore_saved_model()
             self.finished = True
             return
-        direction = -self.inv_hessian @ self.grad
+        direction = (-self.inv_hessian).dot(self.grad)
         if self._old_old_fval is None:
             # seeds the initial step guess at roughly 1/|g|, as in the
             # reference quasi-Newton implementations
-            self._old_old_fval = self.f + float(np.linalg.norm(self.grad)) / 2.0
+            self._old_old_fval = self.f + float(np.sqrt(self.grad.dot(self.grad))) / 2.0
         alpha, f_new, g_new = line_search_wolfe2(
             ev, partial(finite_difference_gradient, ev), self.x, direction,
             self.grad, self.f, self._old_old_fval,
@@ -98,7 +98,7 @@ class Bfgs(Optimizer):
             self._had_line_search_failure = True
             if self._model_before_reset is None:
                 self._model_before_reset = self.inv_hessian
-                self._grad_norm_at_reset = float(np.linalg.norm(self.grad))
+                self._grad_norm_at_reset = float(np.sqrt(self.grad.dot(self.grad)))
             self.inv_hessian = np.eye(self.dim)
             self._old_old_fval = None
             return
@@ -109,16 +109,16 @@ class Bfgs(Optimizer):
             g_new = finite_difference_gradient(ev, x_new, f_new)
         s = x_new - self.x
         y = g_new - self.grad
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         # skip the update when the curvature signal is too weak relative to
         # |s||y|; near the optimum y is dominated by finite-difference noise
         # and an update there can corrupt the model badly
-        if sy > 1e-8 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+        if sy > 1e-8 * float(np.sqrt(s.dot(s)) * np.sqrt(y.dot(y)) + 1e-300):
             rho = 1.0 / sy
             eye = np.eye(self.dim)
             left = eye - rho * np.outer(s, y)
             self.inv_hessian = symmetrize(
-                left @ self.inv_hessian @ left.T + rho * np.outer(s, s)
+                left.dot(self.inv_hessian).dot(left.T) + rho * np.outer(s, s)
             )
         self.x = x_new
         self.f = f_new
@@ -127,5 +127,5 @@ class Bfgs(Optimizer):
         # the saved model stays around until the post-reset iterates make
         # real progress; gradient-noise wiggles at the optimum do not count
         if (self._model_before_reset is not None
-                and float(np.linalg.norm(g_new)) < 0.1 * self._grad_norm_at_reset):
+                and float(np.sqrt(g_new.dot(g_new))) < 0.1 * self._grad_norm_at_reset):
             self._model_before_reset = None

@@ -86,15 +86,15 @@ class Cmaes(Optimizer):
         B, D = self._sampling_transform()
         z = self.rng.standard_normal((self.lam, self.dim))
         z *= D
-        y = z @ B.T  # rows: B D z_k
+        y = z.dot(B.T)  # rows: B D z_k
         xs = self.sigma * y
         xs += self.mean
-        fs = np.array([ev(x) for x in xs])
+        fs = np.fromiter(map(ev, xs), float, self.lam)
         y_sel = y.take(fs.argsort(kind="stable")[: self.mu], 0)
-        y_bar = self.weights @ y_sel
+        y_bar = self.weights.dot(y_sel)
         self.mean = self.mean + self.sigma * y_bar
 
-        inv_sqrt_y = B @ ((B.T @ y_bar) / D)
+        inv_sqrt_y = B.dot(B.T.dot(y_bar) / D)
         inv_sqrt_y *= self._ps_coef
         p_sigma = (1.0 - self.c_sigma) * self.p_sigma
         p_sigma += inv_sqrt_y
@@ -115,7 +115,7 @@ class Cmaes(Optimizer):
         rank_one = np.multiply.outer(p_c, p_c)
         rank_one += correction * self.C
         rank_one *= self.c_1
-        rank_mu = (y_sel * self._weight_col).T @ y_sel
+        rank_mu = (y_sel * self._weight_col).T.dot(y_sel)
         rank_mu *= self.c_mu
         C = self._c_keep * self.C
         C += rank_one

@@ -68,14 +68,14 @@ def _oscillation(x):
     xhat = np.log(ax if nonzero else np.where(x != 0.0, ax, 1.0))
     t = _OSCILLATION_C.take(np.signbit(x), 1)   # (2, d): c1, c2 per coordinate
     t *= xhat
-    np.sin(t, out=t)
+    np.sin(t, t)
     s = t[0]
     s += t[1]                               # sin(c1 xhat) + sin(c2 xhat)
     s *= 0.049
     s += xhat
-    np.exp(s, out=s)
+    np.exp(s, s)
     if nonzero:
-        return np.copysign(s, x, out=s)     # sign(x) * s, as sign(x) is +-1
+        return np.copysign(s, x, s)         # sign(x) * s, as sign(x) is +-1
     s *= np.sign(x)
     return s
 
@@ -173,18 +173,20 @@ class ProblemInstance:
         return max(f_value - self.f_opt, 0.0)
 
 
+# products are spelled ndarray.dot: the BLAS call and bits of np.matmul, with
+# less dispatch on these small operands (tests/test_linalg.py pins the bits)
 def _f1_sphere(p, x):
     z = x - p.x_opt
-    return float(z @ z)
+    return float(z.dot(z))
 
 
 def _f2_ellipsoid_separable(p, x):
     z = _oscillation(x - p.x_opt)
-    return float(_ellipsoid_weights(x.size) @ (z * z))
+    return float(_ellipsoid_weights(x.size).dot(z * z))
 
 
 def _f6_attractive_sector(p, x):
-    z = p.rotation_Q @ (_power_weights(x.size, 100.0) * (p.rotation_R @ (x - p.x_opt)))
+    z = p.rotation_Q.dot(_power_weights(x.size, 100.0) * p.rotation_R.dot(x - p.x_opt))
     # s * z with s = 100 where z * x_opt > 0, else 1 (1 * z is z exactly)
     np.multiply(z, 100.0, out=z, where=z * p.x_opt > 0.0)
     z *= z
@@ -210,36 +212,36 @@ def _f8_rosenbrock(p, x):
 
 
 def _f9_rosenbrock_rotated(p, x):
-    z = _rosenbrock_scale(x.size) * (p.rotation_R @ (x - p.x_opt))
+    z = _rosenbrock_scale(x.size) * p.rotation_R.dot(x - p.x_opt)
     z += 1.0
     return _rosenbrock(z)
 
 
 def _f10_ellipsoid_rotated(p, x):
-    z = _oscillation(p.rotation_R @ (x - p.x_opt))
-    return float(_ellipsoid_weights(x.size) @ (z * z))
+    z = _oscillation(p.rotation_R.dot(x - p.x_opt))
+    return float(_ellipsoid_weights(x.size).dot(z * z))
 
 
 def _f11_discus(p, x):
-    z = _oscillation(p.rotation_R @ (x - p.x_opt))
+    z = _oscillation(p.rotation_R.dot(x - p.x_opt))
     tail = z[1:]
     return float(1e6 * z[0] ** 2 + np.add.reduce(tail * tail))
 
 
 def _f12_bent_cigar(p, x):
-    z = p.rotation_R @ _asymmetry(p.rotation_R @ (x - p.x_opt), 0.5)
+    z = p.rotation_R.dot(_asymmetry(p.rotation_R.dot(x - p.x_opt), 0.5))
     tail = z[1:]
     return float(z[0] ** 2 + 1e6 * np.add.reduce(tail * tail))
 
 
 def _f13_sharp_ridge(p, x):
-    z = p.rotation_Q @ (_power_weights(x.size, 10.0) * (p.rotation_R @ (x - p.x_opt)))
+    z = p.rotation_Q.dot(_power_weights(x.size, 10.0) * p.rotation_R.dot(x - p.x_opt))
     tail = z[1:]
     return float(z[0] ** 2 + 100.0 * np.sqrt(np.add.reduce(tail * tail)))
 
 
 def _f14_different_powers(p, x):
-    z = np.abs(p.rotation_R @ (x - p.x_opt))
+    z = np.abs(p.rotation_R.dot(x - p.x_opt))
     np.power(z, _different_powers_exponents(x.size), out=z)
     return float(np.sqrt(np.add.reduce(z)))
 
@@ -247,7 +249,7 @@ def _f14_different_powers(p, x):
 def _gallagher(p, x):
     peaks = p.peaks
     diff = x[None, :] - peaks["centers"]          # (K, d)
-    q = diff @ p.rotation_R.T                     # rows R (x - y_i)
+    q = diff.dot(p.rotation_R.T)                  # rows R (x - y_i)
     q *= q
     q *= peaks["scales"]
     q = np.add.reduce(q, axis=1)

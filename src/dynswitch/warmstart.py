@@ -13,6 +13,7 @@ operations performs function evaluations.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,10 @@ class WarmStartPolicy:
             raise ValueError(f"unknown warm-start mode {self.mode!r}")
         if self.step_size_window < 2:
             raise ValueError("step_size_window must be >= 2")
-        if self.hyperbox_radius <= 0 or self.hessian_scale <= 0:
-            raise ValueError("hyperbox_radius and hessian_scale must be positive")
+        if not (0 < self.hyperbox_radius < math.inf
+                and 0 < self.hessian_scale < math.inf):
+            raise ValueError(
+                "hyperbox_radius and hessian_scale must be finite and positive")
 
 
 @dataclass

@@ -844,3 +844,38 @@ def test_sweep_tau_refuses_duplicate_instances(tmp_path, capsys):
                    "--function", "1", "--dim", "2", "--instances", "1-2,2",
                    "--out", str(tmp_path / "out")) == 1
     assert "duplicate instance(s): 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--beta", "nan"), ("--beta", "inf"), ("--eta", "nan"), ("--eta", "inf"),
+])
+@pytest.mark.parametrize("command", ["switch", "sweep-tau"])
+def test_warmstart_scales_must_be_finite_and_positive(command, option, value,
+                                                       tmp_path, capsys):
+    # a NaN beta left BFGS as A2 without progress, and a NaN or infinite eta
+    # failed every PSO/DE A2 only after its A1 had run
+    args = {**SMALL_COMMANDS[command], "--instances": "1", "--runs": "1",
+            "--budget-mult": "50", option: value}
+    out = tmp_path / "out"
+    assert run_cli(command, *(a for kv in args.items() for a in kv),
+                   "--out", str(out)) == 1
+    assert (f"argument {option}: must be finite and positive, got '{value}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exponent, tau", [("400", "inf"), ("-400", "0.0")])
+def test_sweep_tau_refuses_an_exponent_without_a_finite_tau(exponent, tau,
+                                                            tmp_path, capsys):
+    # 10.0 ** 400 used to end in an OverflowError traceback, and 10.0 ** -400
+    # in a refusal of "0.0" that did not name the exponent
+    out = tmp_path / "out"
+    assert run_cli("sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES",
+                   "--function", "1", "--dim", "2",
+                   f"--tau-exponents=0,{exponent}", "--runs", "1",
+                   "--instances", "1", "--budget-mult", "50",
+                   "--out", str(out)) == 1
+    assert (f"--tau-exponents: tau exponent '{exponent}': precision targets "
+            f"must be positive and finite, got {tau}"
+            in capsys.readouterr().err)
+    assert not out.exists()

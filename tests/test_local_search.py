@@ -143,7 +143,7 @@ def test_bfgs_runs_match_scipy_line_search(dim, monkeypatch):
 # far-out probes overflow F12's kernel, and rotating that inf gives nan
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings(
-    "ignore:invalid value encountered in matmul:RuntimeWarning")
+    "ignore:invalid value encountered in dot:RuntimeWarning")
 @pytest.mark.parametrize("seed", range(6))
 def test_line_search_calls_and_result_match_scipy(seed):
     """Single searches from random points, along random descent directions

@@ -51,6 +51,13 @@ def test_policy_validation():
         WarmStartPolicy(hessian_scale=-1.0)
 
 
+@pytest.mark.parametrize("field", ["hyperbox_radius", "hessian_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_policy_refuses_non_finite_scales(field, value):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        WarmStartPolicy(**{field: value})
+
+
 def test_extract_requires_evaluations():
     opt = Bfgs(2, np.random.default_rng(0))
     with pytest.raises(ValueError):
