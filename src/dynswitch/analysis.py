@@ -93,21 +93,19 @@ def _cells(tables):
 
 
 def tau_summary(records, phi_exponent):
-    """Rows of sweep_summary.tsv: per tau, in record order, the mean and std
-    of the cost to phi (the hitting time, or the evaluations used when phi
-    was missed), the successes and runs, and the ERT at phi."""
+    """sweep_summary.tsv: per tau, in record order, the mean and std of the
+    cost to phi (the hitting time, or the evaluations used when phi was
+    missed), the successes and runs, and the ERT at phi."""
     by_tau = {}
     for rec in records:
         by_tau.setdefault(rec["tau"], []).append(rec)
-    summary = []
+    rows = []
     for tau, cell in by_tau.items():
         costs = [r["hit_at"].get(phi_exponent, r["evals_used"]) for r in cell]
         value, successes, runs = ert_curve(cell)[phi_exponent]
-        summary.append({"tau_exponent": DEFAULT_GRID.snap_exponent(tau),
-                        "mean": float(np.mean(costs)),
-                        "std": float(np.std(costs)), "successes": successes,
-                        "runs": runs, "ert": value})
-    return summary
+        rows.append((DEFAULT_GRID.snap_exponent(tau), float(np.mean(costs)),
+                     float(np.std(costs)), successes, runs, value))
+    return ("tau_exponent", "mean", "std", "successes", "runs", "ert"), rows
 
 
 def sweep_run_table(records, phi_exponent):

@@ -2,7 +2,7 @@
 
 Runs fan out deterministically from a master seed, so reruns with the same
 settings produce byte-identical log payloads.  Exit codes: 0 success, 1 usage
-error or failed sweep run, 2 partial failures of bench or switch.
+error, 2 when some runs of a batch failed (the others are written).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .analysis import (
     heatmap_table,
     sweep_run_table,
     switch_report,
+    tau_summary,
     use_case_table,
     vbs_table,
 )
@@ -100,21 +101,29 @@ def _positive(text):
     return value
 
 
+def _tau(exponent):
+    """10 ** float(exponent); a ValueError naming ``exponent`` unless that
+    is a positive, finite precision."""
+    try:
+        tau = 10.0 ** float(exponent)
+    except OverflowError:
+        tau = math.inf
+    try:
+        DEFAULT_GRID.snap_exponent(tau)
+    except ValueError as exc:
+        raise ValueError(f"tau exponent {exponent!r}: {exc}") from None
+    return tau
+
+
 def _tau_exponents(text):
     """--tau-exponents: each 10**e must be a positive, finite precision."""
     out = []
     for chunk in text.split(","):
-        e = _float(chunk)
+        out.append(_float(chunk))
         try:
-            tau = 10.0 ** e
-        except OverflowError:
-            tau = math.inf
-        try:
-            DEFAULT_GRID.snap_exponent(tau)
+            _tau(chunk)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(
-                f"tau exponent {chunk!r}: {exc}") from None
-        out.append(e)
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return out
 
 
@@ -193,12 +202,33 @@ def _write_records(path, records):
             fh.write(record_to_json(rec) + "\n")
 
 
-def _write_manifest(outdir, args, extra):
+def _write_manifest(outdir, args, records):
     settings = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    settings["version"] = __version__
-    settings.update(extra)
+    settings.update(version=__version__, records=records)
     with _create(outdir / "manifest.json") as fh:
         fh.write(json.dumps(settings, indent=2, sort_keys=True) + "\n")
+
+
+def _write_table(path, header, rows):
+    with _create(path) as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(str(v) for v in row) + "\n")
+
+
+def _finish(args, log, records, failures, tables):
+    """End a batch: write its records to ``log``, the manifest and
+    ``tables`` ({file name: (header, rows)}) under --out, and name each
+    failed run after FAILED on stderr.  Exits 2 if a run failed, else 0."""
+    outdir = Path(args.out)
+    _write_records(outdir / log, records)
+    _write_manifest(outdir, args, len(records))
+    for name, table in tables.items():
+        _write_table(outdir / name, *table)
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    print(f"wrote {len(records)} records to {outdir / log}")
+    return 2 if failures else 0
 
 
 def cmd_bench(args):
@@ -207,25 +237,14 @@ def cmd_bench(args):
              for inst in args.instances for run in range(args.runs)]
     worker = functools.partial(_bench_cell, args,
                                _optimizer_configs(args, args.algorithms))
-    outdir = Path(args.out)
     records, failures = run_tasks(worker, cells, args.jobs)
-    _write_records(outdir / "runs.jsonl", records)
-    _write_manifest(outdir, args, {"records": len(records)})
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     for (label, f, d), curve in sorted(build_ert_tables(records).items()):
         _, succ, total = curve[phi_exp]
         print(f"{label:8s} F{f:<3d} {d:>2d}D  {succ}/{total} successes")
-    for cell, message in failures:
-        print(f"FAILED {cell}: {message}", file=sys.stderr)
-    print(f"wrote {len(records)} records to {outdir / 'runs.jsonl'}")
-    return 2 if failures else 0
-
-
-def _write_table(path, header, rows):
-    with _create(path) as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+    return _finish(args, "runs.jsonl", records, [
+        f"{a} F{f} {d}D instance {i} run {r}: {message}"
+        for (a, f, d, i, r), message in failures], {})
 
 
 def _read_log(path):
@@ -258,7 +277,7 @@ def cmd_analyze(args):
                         ("use_cases", use_case_table(reports)),
                         ("heatmap", heatmap_table(reports))):
         _write_table(outdir / f"{name}.tsv", *table)
-    _write_manifest(outdir, args, {"records": len(records)})
+    _write_manifest(outdir, args, len(records))
     print(f"analyzed {len(records)} records -> {len(reports)} cells "
           f"({outdir})")
     return 0
@@ -300,7 +319,7 @@ def cmd_switch(args):
                 return 1
             plan_cells.extend(
                 (row["dyn_a1"], row["dyn_a2"],
-                 10.0 ** float(row["dyn_tau_exponent"]),
+                 _tau(row["dyn_tau_exponent"]),
                  int(row["function_id"]), int(row["dimension"]))
                 for row in rows
                 if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"])
@@ -343,20 +362,12 @@ def cmd_switch(args):
     tasks = [(plan, problems[f, d, i], args.budget_mult * d, run)
              for plan, f, d in switch_cells
              for i in args.instances for run in range(args.runs)]
-    outdir = Path(args.out)
     records, failures = run_switch_tasks(tasks, args.seed,
                                          not args.no_early_switch, args.jobs)
-    _write_records(outdir / "switch_runs.jsonl", records)
-    _write_manifest(outdir, args, {"records": len(records)})
-
-    _write_table(outdir / "switch_report.tsv",
-                 *switch_report(switch_cells, build_ert_tables(records),
-                                static_tables,
-                                DEFAULT_GRID.snap_exponent(args.phi)))
-    for failure in failures:
-        print(f"FAILED {failure}", file=sys.stderr)
-    print(f"executed {len(records)} switch runs -> {outdir}")
-    return 2 if failures else 0
+    return _finish(args, "switch_runs.jsonl", records, failures, {
+        "switch_report.tsv": switch_report(
+            switch_cells, build_ert_tables(records), static_tables,
+            DEFAULT_GRID.snap_exponent(args.phi))})
 
 
 def cmd_sweep_tau(args):
@@ -368,21 +379,16 @@ def cmd_sweep_tau(args):
         instantiate(ProblemId(args.function, args.dim, i), args.suite_seed)
         for i in args.instances
     ]
-    outdir = Path(args.out)
-    records, summary = sweep_tau(
+    records, failures = sweep_tau(
         configs[args.a1], configs[args.a2], problems, exps,
         runs_per_instance=args.runs, phi=args.phi,
         budget=args.budget_mult * args.dim, seed=args.seed,
         policy=_policy_from_args(args),
         early_switch=not args.no_early_switch, jobs=args.jobs,
     )
-    _write_table(outdir / "sweep_runs.tsv", *sweep_run_table(records, phi_exp))
-    _write_records(outdir / "sweep_runs.jsonl", records)
-    _write_table(outdir / "sweep_summary.tsv", summary[0].keys(),
-                 [s.values() for s in summary])
-    _write_manifest(outdir, args, {"rows": len(records)})
-    print(f"swept {len(exps)} switching points -> {outdir}")
-    return 0
+    return _finish(args, "sweep_runs.jsonl", records, failures, {
+        "sweep_runs.tsv": sweep_run_table(records, phi_exp),
+        "sweep_summary.tsv": tau_summary(records, phi_exp)})
 
 
 def _add_common(parser):
@@ -393,7 +399,7 @@ def _add_common(parser):
                         default=DEFAULT_BUDGET_MULTIPLIER)
     parser.add_argument("--phi", type=_grid_target, default=DEFAULT_FINAL_TARGET)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--suite-seed", type=int, default=0)
+    parser.add_argument("--suite-seed", type=lambda s: _count(s, 0), default=0)
     parser.add_argument("--jobs", type=_count, default=1)
     parser.add_argument("--out", default="out")
     parser.add_argument("--config", help="JSON file of per-algorithm overrides")
@@ -402,7 +408,8 @@ def _add_common(parser):
 def _add_warmstart(parser):
     parser.add_argument("--warmstart-mode",
                         choices=[MODE_POINT_ONLY, MODE_FULL], default=MODE_FULL)
-    parser.add_argument("--step-window", type=int, default=10)
+    parser.add_argument("--step-window", type=lambda s: _count(s, 2),
+                        default=10)
     parser.add_argument("--eta", type=_positive, default=0.1)
     parser.add_argument("--beta", type=_positive, default=1.0)
     parser.add_argument("--no-early-switch", action="store_true",

@@ -16,7 +16,6 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .analysis import tau_summary
 from .optimizers import OptimizerConfig, drive, make_optimizer
 from .problems import ProblemInstance
 from .tracing import (
@@ -206,16 +205,11 @@ def sweep_tau(
     """Switching-point sensitivity sweep over ``jobs`` processes.
 
     Runs ``runs_per_instance`` switch runs per (tau, problem instance).
-    Returns (records, summary): the switch run records in (tau, problem,
-    run) order, and their :func:`~dynswitch.analysis.tau_summary`.  Raises
-    RuntimeError naming every run that raised.
+    Returns :func:`run_switch_tasks`'s (records, failures), the records in
+    (tau, problem, run) order.
     """
     plans = [SwitchPlan(a1=a1, a2=a2, tau=10.0 ** tau_exp, phi=phi,
                         policy=policy) for tau_exp in tau_exponents]
     tasks = [(plan, problem, budget, run) for plan in plans
              for problem in problems for run in range(runs_per_instance)]
-    records, failures = run_switch_tasks(tasks, seed, early_switch, jobs)
-    if failures:
-        raise RuntimeError("\n  ".join(
-            [f"{len(failures)} of {len(tasks)} sweep runs failed:", *failures]))
-    return records, tau_summary(records, DEFAULT_GRID.snap_exponent(phi))
+    return run_switch_tasks(tasks, seed, early_switch, jobs)

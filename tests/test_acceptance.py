@@ -18,6 +18,7 @@ from dynswitch.analysis import (
     build_vbs_reports,
     ert,
     gains,
+    tau_summary,
     theoretical_performance,
 )
 from dynswitch.cli import cell_seed, main
@@ -316,10 +317,13 @@ def test_criterion_09_switching_point_regimes():
                   "on F10 5D across the full grid sweep"):
         problems = [instantiate(ProblemId(10, 5, i), 0) for i in range(1, 6)]
         exps = [e for e in DEFAULT_GRID.exponents if e > PHI_EXP]
-        _, summary = sweep_tau(
+        records, failures = sweep_tau(
             OptimizerConfig("BFGS"), OptimizerConfig("CMA-ES"), problems,
             exps, runs_per_instance=5, phi=PHI, budget=50_000, seed=0,
         )
+        assert failures == []
+        header, rows = tau_summary(records, PHI_EXP)
+        summary = [dict(zip(header, row)) for row in rows]
         means = {s["tau_exponent"]: s["mean"] for s in summary}
         late = [means[e] for e in means if -7.8 <= e <= -4.0]
         early = [means[e] for e in means if 1.0 <= e <= 2.0]

@@ -401,9 +401,6 @@ def test_tau_summary_per_tau_in_record_order():
 
     records = [run(1.0, 50, True), run(1.0, 200, False),
                run(0.01, 40, True), run(0.01, 60, True)]
-    assert tau_summary(records, -8.0) == [
-        {"tau_exponent": 0.0, "mean": 125.0, "std": 75.0, "successes": 1,
-         "runs": 2, "ert": 250.0},
-        {"tau_exponent": -2.0, "mean": 50.0, "std": 10.0, "successes": 2,
-         "runs": 2, "ert": 50.0},
-    ]
+    assert tau_summary(records, -8.0) == (
+        ("tau_exponent", "mean", "std", "successes", "runs", "ert"),
+        [(0.0, 125.0, 75.0, 1, 2, 250.0), (-2.0, 50.0, 10.0, 2, 2, 50.0)])

@@ -319,6 +319,23 @@ def test_switch_from_analysis_reads_back_the_vbs_table(tmp_path, monkeypatch):
                      r.dimension) for r in reports if r.dyn_a1 != r.dyn_a2]
 
 
+@pytest.mark.parametrize("exponent, tau", [("400", "inf"), ("-400", "0.0")])
+def test_switch_from_analysis_refuses_an_exponent_without_a_finite_tau(
+        exponent, tau, tmp_path, capsys):
+    # 10.0 ** 400 used to end in an OverflowError traceback
+    analysis = tmp_path / "analysis"
+    cli._write_table(analysis / "vbs_report.tsv", *vbs_table([
+        VbsReport(1, 2, "BFGS", 40.0, "PSO", "BFGS", exponent, 30.0, 0.25)]))
+    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(analysis), "--runs", "1",
+                 "--instances", "1", "--budget-mult", "50",
+                 "--out", str(out)]) == 1
+    assert (f"tau exponent '{exponent}': precision targets must be positive "
+            f"and finite, got {tau}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
     out = tmp_path / "switch4"
     code = main([
@@ -415,7 +432,7 @@ def test_bench_fails_a_cmaes_cell_it_cannot_run(override, reason, tmp_path,
     assert code == 2
     failed = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("FAILED")]
-    assert failed == [f"FAILED ('CMA-ES', 1, 2, 1, 0): {reason}"]
+    assert failed == [f"FAILED CMA-ES F1 2D instance 1 run 0: {reason}"]
     assert (out / "runs.jsonl").read_text() == ""
 
 
@@ -612,24 +629,60 @@ def test_sweep_summary_ert_counts_failed_runs_once(tmp_path, monkeypatch):
         ("200.0", "1", "2", "400.0")
 
 
-def test_sweep_tau_names_every_failed_run(tmp_path, monkeypatch, capsys):
-    real_run_switch = switching.run_switch
+def _sweep_with_a_cmaes_a2_it_cannot_build(tmp_path, exponents, jobs="1"):
+    # A2 is built at the switch: BFGS reaches tau 10 at once and its run
+    # fails there, while with --no-early-switch it misses 10^-7.8 and ends
+    # without a switch
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"CMA-ES": {"population_size": 1}}))
+    out = tmp_path / f"jobs{jobs}"
+    code = main(["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function",
+                 "10", "--dim", "2", "--tau-exponents", exponents,
+                 "--instances", "1,2", "--runs", "2", "--budget-mult", "50",
+                 "--no-early-switch", "--config", str(cfg), "--jobs", jobs,
+                 "--out", str(out)])
+    return code, out
 
-    def failing_run_switch(plan, *args, **kwargs):
-        if plan.tau == 1.0:
-            raise RuntimeError("boom")
-        return real_run_switch(plan, *args, **kwargs)
 
-    monkeypatch.setattr(switching, "run_switch", failing_run_switch)
-    out = tmp_path / "sweep"
-    assert main([*SMALL_SWEEP, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "4 of 8 sweep runs failed" in err
-    for instance in (1, 2):
-        for run in (0, 1):
-            assert f"tau 1 instance {instance} run {run}: boom" in err
-    assert "tau 10 " not in err
-    assert not (out / "sweep_runs.tsv").exists()
+SWEEP_OUTPUTS = ("sweep_runs.tsv", "sweep_runs.jsonl", "sweep_summary.tsv")
+TAU_10_FAILURES = [
+    f"FAILED BFGS>CMA-ES F10 2D tau 10 instance {i} run {r}: CMA-ES needs a "
+    f"population of at least 2, got 1" for i in (1, 2) for r in (0, 1)]
+
+
+def test_sweep_tau_names_every_failed_run(tmp_path, capsys):
+    # the runs that finished are written, as bench and switch write theirs
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out = _sweep_with_a_cmaes_a2_it_cannot_build(
+            tmp_path, "1,-7.8", jobs)
+        assert code == 2
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("FAILED")] == TAU_10_FAILURES
+        outputs.append([(out / name).read_bytes() for name in SWEEP_OUTPUTS])
+    assert outputs[0] == outputs[1]
+    finished = [(i, r) for i in (1, 2) for r in (0, 1)]
+    records, _ = load_records(out / "sweep_runs.jsonl")
+    assert [(DEFAULT_GRID.snap_exponent(r["tau"]), r["instance"],
+             r["run_index"]) for r in records] == [(-7.8, *k) for k in finished]
+    assert [(r["tau_exponent"], int(r["instance"]), int(r["run_index"]))
+            for r in _report_rows(out / "sweep_runs.tsv")] == \
+        [("-7.8", *k) for k in finished]
+    [summary] = _report_rows(out / "sweep_summary.tsv")
+    assert (summary["tau_exponent"], summary["runs"]) == ("-7.8", "4")
+    assert json.loads((out / "manifest.json").read_text())["records"] == 4
+
+
+def test_sweep_tau_writes_header_only_tables_when_every_run_fails(tmp_path,
+                                                                  capsys):
+    code, out = _sweep_with_a_cmaes_a2_it_cannot_build(tmp_path, "1")
+    assert code == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("FAILED")] == TAU_10_FAILURES
+    assert [(out / name).read_text() for name in SWEEP_OUTPUTS] == [
+        "tau_exponent\tinstance\trun_index\thit_phi\tevals_used\tsuccess"
+        "\tswitch_eval\n", "",
+        "tau_exponent\tmean\tstd\tsuccesses\truns\tert\n"]
 
 
 def test_switch_reports_each_failed_run_on_one_line(tmp_path, monkeypatch,
@@ -673,7 +726,10 @@ SMALL_COMMANDS = {
           ("--instances", "3-1",
            "--instances: reversed instance range '3-1'"),
           ("--instances", ",", "--instances: empty instance in ','"),
+          ("--suite-seed", "-1", "--suite-seed: must be >= 0, got -1"),
       )),
+    *((command, "--step-window", "1", "--step-window: must be >= 2, got 1")
+      for command in ("switch", "sweep-tau")),
     ("bench", "--dims", "5-3", "--dims: reversed dimension range '5-3'"),
     ("bench", "--dims", "0", "--dims: must be >= 2, got 0"),
     ("bench", "--dims", "2,1", "--dims: must be >= 2, got 1"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dynswitch import switching
+from dynswitch.analysis import tau_summary
 from dynswitch.optimizers import OptimizerConfig, run_single
 from dynswitch.problems import ProblemId, instantiate
 from dynswitch.switching import SwitchPlan, run_switch, run_tasks, sweep_tau
@@ -120,11 +121,13 @@ def test_warm_start_survives_phase_one_convergence(f10_d5):
 
 
 def test_sweep_tau_shapes(sphere_problem):
-    rows, summary = sweep_tau(
+    rows, failures = sweep_tau(
         BFGS, CMAES, [sphere_problem], tau_exponents=[0.0, -2.0],
         runs_per_instance=2, budget=5000,
     )
-    assert len(rows) == 4
+    assert len(rows) == 4 and failures == []
+    header, summary_rows = tau_summary(rows, -8.0)
+    summary = [dict(zip(header, row)) for row in summary_rows]
     assert len(summary) == 2
     assert {s["tau_exponent"] for s in summary} == {0.0, -2.0}
     for s in summary:
@@ -142,13 +145,15 @@ def test_sweep_tau_counts_every_run_that_reaches_off_grid_phi():
     # phi = 9e-8 lies between grid targets: the runs stop at phi's grid
     # target and the hits are read at that same target
     problems = [instantiate(ProblemId(1, 2, i), 0) for i in (1, 2, 3)]
-    rows, summary = sweep_tau(
+    rows, failures = sweep_tau(
         BFGS, CMAES, problems, tau_exponents=[0.0, -2.0],
         runs_per_instance=5, phi=9e-8, budget=20_000, seed=0,
     )
-    assert len(rows) == 30
-    assert all(DEFAULT_GRID.snap_exponent(9e-8) in r["hit_at"] for r in rows)
-    assert [s["successes"] for s in summary] == [15, 15]
+    assert len(rows) == 30 and failures == []
+    phi_exp = DEFAULT_GRID.snap_exponent(9e-8)
+    assert all(phi_exp in r["hit_at"] for r in rows)
+    header, summary = tau_summary(rows, phi_exp)
+    assert [s[header.index("successes")] for s in summary] == [15, 15]
 
 
 def _slow_first(task):
