@@ -2,7 +2,9 @@
 
 Runs fan out deterministically from a master seed, so reruns with the same
 settings produce byte-identical log payloads.  Exit codes: 0 success, 1 usage
-error, 2 when some runs of a batch failed (the others are written).
+error, 2 when some runs of a batch failed (the others are written).  Bad input
+raises ValueError before any run or output: argparse names the flag of one
+raised by a converter (see ``_arg``), ``main`` prints any other; both exit 1.
 """
 
 from __future__ import annotations
@@ -46,11 +48,30 @@ DEFAULT_DIMENSIONS = (2, 3, 5, 10, 20)
 DEFAULT_BUDGET_MULTIPLIER = 10_000  # evaluations per dimension
 
 
+def _arg(convert, *args):
+    """An argparse ``type`` calling ``convert(text, *args)``; its ValueError
+    becomes a usage error naming the flag, not "invalid <function> value"."""
+    def parse(text):
+        try:
+            return convert(text, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _number(text, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"not {what}: {text!r}") from None
+
+
 def _count(text, minimum=1):
     """An int of at least ``minimum``: a count, an instance or a dimension."""
-    value = int(text)
+    value = _number(text, int)
     if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        raise ValueError(f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -59,45 +80,31 @@ def _parse_int_list(text, what, minimum=1, valid=None):
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            raise argparse.ArgumentTypeError(f"empty {what} in {text!r}")
+            raise ValueError(f"empty {what} in {text!r}")
         if "-" in chunk and not chunk.startswith("-"):
             lo, hi = chunk.split("-", 1)
-            lo, hi = _count(lo, minimum), int(hi)
+            lo, hi = _count(lo, minimum), _number(hi, int)
             if hi < lo:
-                raise argparse.ArgumentTypeError(f"reversed {what} range {chunk!r}")
+                raise ValueError(f"reversed {what} range {chunk!r}")
             out.extend(range(lo, hi + 1))
         else:
             out.append(_count(chunk, minimum))
     if valid is not None:
         bad = [v for v in out if v not in valid]
         if bad:
-            raise argparse.ArgumentTypeError(f"invalid {what}(s): {bad}")
+            raise ValueError(f"invalid {what}(s): {bad}")
     return _unique(out, what)
 
 
-def _algorithm(text):
-    try:
-        return canonical_algorithm(text)
-    except ValueError as exc:  # argparse would print only "invalid value"
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _parse_algorithms(text):
-    return _unique([_algorithm(a) for a in text.split(",")], "algorithm")
-
-
-def _float(text):
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    return _unique([canonical_algorithm(a) for a in text.split(",")], "algorithm")
 
 
 def _positive(text):
     """A finite float above zero: --eta and --beta."""
-    value = _float(text)
+    value = _number(text)
     if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        raise ValueError(f"must be finite and positive, got {text!r}")
     return value
 
 
@@ -119,11 +126,8 @@ def _tau_exponents(text):
     """--tau-exponents: each 10**e must be a positive, finite precision."""
     out = []
     for chunk in text.split(","):
-        out.append(_float(chunk))
-        try:
-            _tau(chunk)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+        out.append(_number(chunk))
+        _tau(chunk)
     return out
 
 
@@ -131,17 +135,13 @@ def _unique(values, what):
     """``values``, refused if one repeats: it would pool copies of runs."""
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
-        raise argparse.ArgumentTypeError(
-            f"duplicate {what}(s): {', '.join(map(str, repeated))}")
+        raise ValueError(f"duplicate {what}(s): {', '.join(map(str, repeated))}")
     return values
 
 
 def _grid_target(text):
     """--phi: the grid target nearest to the precision given."""
-    try:
-        return DEFAULT_GRID.snap(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return DEFAULT_GRID.snap(_number(text))
 
 
 def _optimizer_configs(args, algorithms):
@@ -190,13 +190,15 @@ def _create(path):
     return open(path, "w")
 
 
+def _run_key(rec):
+    """A run's name in a log: label, cell, instance, run index (or None)."""
+    return (rec["algorithm_label"], rec["function_id"], rec["dimension"],
+            rec.get("instance"), rec.get("run_index"))
+
+
 def _write_records(path, records):
     # deterministic order regardless of worker scheduling
-    records = sorted(
-        records,
-        key=lambda r: (r["algorithm_label"], r["function_id"], r["dimension"],
-                       r["instance"], r["run_index"]),
-    )
+    records = sorted(records, key=_run_key)
     with _create(path) as fh:
         for rec in records:
             fh.write(record_to_json(rec) + "\n")
@@ -249,26 +251,30 @@ def cmd_bench(args):
 
 def _read_log(path):
     """Records of the run log at ``path``, a file or the bench directory
-    holding it; None, with the reason on stderr, when it is missing or
-    holds no parseable record."""
+    holding it; a ValueError if it is missing, holds no parseable record or
+    holds one run twice at one budget (two budgets: the ERT tables refuse)."""
     log_path = Path(path)
     log_path = log_path / "runs.jsonl" if log_path.is_dir() else log_path
     if not log_path.exists():
-        print(f"no run log at {log_path}", file=sys.stderr)
-        return None
+        raise ValueError(f"no run log at {log_path}")
     records, skipped = load_records(log_path)
     if skipped:
         print(f"warning: skipped {skipped} malformed log lines", file=sys.stderr)
     if not records:
-        print("zero parseable log records", file=sys.stderr)
-        return None
+        raise ValueError("zero parseable log records")
+    seen = set()
+    for rec in records:
+        key = (*_run_key(rec), rec["budget"])
+        if key in seen:
+            a, f, d, i, r, budget = key
+            raise ValueError(f"{log_path} holds {a} F{f} {d}D instance {i} "
+                             f"run {r} at budget {budget} twice")
+        seen.add(key)
     return records
 
 
 def cmd_analyze(args):
     records = _read_log(args.logs)
-    if records is None:
-        return 1
     outdir = Path(args.out)
     tables = build_ert_tables(records)
     reports = build_vbs_reports(tables, DEFAULT_GRID.snap_exponent(args.phi))
@@ -286,10 +292,9 @@ def cmd_analyze(args):
 def _parse_plan(text):
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"plan must look like A1:A2:TAU, got {text!r}"
-        )
-    return _algorithm(parts[0]), _algorithm(parts[1]), _float(parts[2])
+        raise ValueError(f"plan must look like A1:A2:TAU, got {text!r}")
+    return (canonical_algorithm(parts[0]), canonical_algorithm(parts[1]),
+            _number(parts[2]))
 
 
 def cmd_switch(args):
@@ -297,26 +302,23 @@ def cmd_switch(args):
     if args.from_analysis:
         vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
         if not vbs_path.exists():
-            print(f"no analysis artifacts at {vbs_path}", file=sys.stderr)
-            return 1
+            raise ValueError(f"no analysis artifacts at {vbs_path}")
         # the VBS pairs and their tau were chosen for the analysis's phi
         manifest_path = vbs_path.with_name("manifest.json")
         analysis_phi = "unknown (no manifest.json)"
         if manifest_path.exists():
             analysis_phi = json.loads(manifest_path.read_text()).get("phi")
         if analysis_phi != args.phi:
-            print(f"the analysis at {args.from_analysis} is for phi "
-                  f"{analysis_phi}, not {args.phi:g}: rerun "
-                  f"`dynswitch analyze --phi {args.phi:g}`", file=sys.stderr)
-            return 1
+            raise ValueError(f"the analysis at {args.from_analysis} is for "
+                             f"phi {analysis_phi}, not {args.phi:g}: rerun "
+                             f"`dynswitch analyze --phi {args.phi:g}`")
         with open(vbs_path, newline="") as fh:
             rows = csv.DictReader(fh, delimiter="\t")
             missing = [name for name in vbs_table([])[0]
                        if name not in (rows.fieldnames or ())]
             if missing:
-                print(f"{vbs_path} lacks the columns {', '.join(missing)}: "
-                      f"rerun `dynswitch analyze`", file=sys.stderr)
-                return 1
+                raise ValueError(f"{vbs_path} lacks the columns "
+                                 f"{', '.join(missing)}: rerun `dynswitch analyze`")
             plan_cells.extend(
                 (row["dyn_a1"], row["dyn_a2"],
                  _tau(row["dyn_tau_exponent"]),
@@ -325,30 +327,21 @@ def cmd_switch(args):
                 if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"])
     if args.plan:
         if not args.functions or not args.dims:
-            print("--plan needs --functions and --dims", file=sys.stderr)
-            return 1
+            raise ValueError("--plan needs --functions and --dims")
         plan_cells += [(a1, a2, tau, f, d) for a1, a2, tau in args.plan
                        for f in args.functions for d in args.dims]
     # the static log is read before any run, so a bad path fails at once
     static_tables = None
     if args.logs:
         static_records = _read_log(args.logs)
-        if static_records is None:
-            return 1
         # static and actual ERT are only comparable at the same budget
         planned = {(f, d) for *_, f, d in plan_cells}
-        mismatched = min(
-            ((r["function_id"], r["dimension"], r["budget"])
-             for r in static_records
-             if (r["function_id"], r["dimension"]) in planned
-             and r["budget"] != args.budget_mult * r["dimension"]),
-            default=None)
-        if mismatched:
-            f, d, budget = mismatched
-            print(f"static log has budget {budget} for F{f} {d}D, but "
-                  f"--budget-mult {args.budget_mult} gives "
-                  f"{args.budget_mult * d}", file=sys.stderr)
-            return 1
+        for f, d, budget in sorted({(r["function_id"], r["dimension"],
+                                     r["budget"]) for r in static_records}):
+            if (f, d) in planned and budget != args.budget_mult * d:
+                raise ValueError(f"static log has budget {budget} for F{f} "
+                                 f"{d}D, but --budget-mult {args.budget_mult} "
+                                 f"gives {args.budget_mult * d}")
         static_tables = build_ert_tables(static_records)
 
     configs = _optimizer_configs(
@@ -392,15 +385,16 @@ def cmd_sweep_tau(args):
 
 
 def _add_common(parser):
-    parser.add_argument("--runs", type=_count, default=5)
-    parser.add_argument("--instances", type=lambda s: _parse_int_list(s, "instance"),
+    parser.add_argument("--runs", type=_arg(_count), default=5)
+    parser.add_argument("--instances", type=_arg(_parse_int_list, "instance"),
                         default=[1, 2, 3, 4, 5])
-    parser.add_argument("--budget-mult", type=_count,
+    parser.add_argument("--budget-mult", type=_arg(_count),
                         default=DEFAULT_BUDGET_MULTIPLIER)
-    parser.add_argument("--phi", type=_grid_target, default=DEFAULT_FINAL_TARGET)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--suite-seed", type=lambda s: _count(s, 0), default=0)
-    parser.add_argument("--jobs", type=_count, default=1)
+    parser.add_argument("--phi", type=_arg(_grid_target),
+                        default=DEFAULT_FINAL_TARGET)
+    parser.add_argument("--seed", type=_arg(_number, int), default=0)
+    parser.add_argument("--suite-seed", type=_arg(_count, 0), default=0)
+    parser.add_argument("--jobs", type=_arg(_count), default=1)
     parser.add_argument("--out", default="out")
     parser.add_argument("--config", help="JSON file of per-algorithm overrides")
 
@@ -408,10 +402,9 @@ def _add_common(parser):
 def _add_warmstart(parser):
     parser.add_argument("--warmstart-mode",
                         choices=[MODE_POINT_ONLY, MODE_FULL], default=MODE_FULL)
-    parser.add_argument("--step-window", type=lambda s: _count(s, 2),
-                        default=10)
-    parser.add_argument("--eta", type=_positive, default=0.1)
-    parser.add_argument("--beta", type=_positive, default=1.0)
+    parser.add_argument("--step-window", type=_arg(_count, 2), default=10)
+    parser.add_argument("--eta", type=_arg(_positive), default=0.1)
+    parser.add_argument("--beta", type=_arg(_positive), default=1.0)
     parser.add_argument("--no-early-switch", action="store_true",
                         help="do not switch when A1 converges above tau")
 
@@ -430,47 +423,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    functions = _arg(_parse_int_list, "function", 1, IMPLEMENTED_FUNCTIONS)
+    dims = _arg(_parse_int_list, "dimension", 2)
 
     p = sub.add_parser("bench", help="run the static portfolio grid")
-    p.add_argument("--algorithms", type=_parse_algorithms,
+    p.add_argument("--algorithms", type=_arg(_parse_algorithms),
                    default=list(DEFAULT_ALGORITHMS))
-    p.add_argument("--functions",
-                   type=lambda s: _parse_int_list(s, "function",
-                                                  valid=IMPLEMENTED_FUNCTIONS),
+    p.add_argument("--functions", type=functions,
                    default=list(IMPLEMENTED_FUNCTIONS))
-    p.add_argument("--dims", type=lambda s: _parse_int_list(s, "dimension", 2),
-                   default=list(DEFAULT_DIMENSIONS))
+    p.add_argument("--dims", type=dims, default=list(DEFAULT_DIMENSIONS))
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("analyze", help="compute ERT tables and VBS reports")
     p.add_argument("--logs", required=True)
-    p.add_argument("--phi", type=_grid_target, default=DEFAULT_FINAL_TARGET)
+    p.add_argument("--phi", type=_arg(_grid_target),
+                   default=DEFAULT_FINAL_TARGET)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("switch", help="execute dynamic switch plans")
-    p.add_argument("--plan", action="append", type=_parse_plan,
+    p.add_argument("--plan", action="append", type=_arg(_parse_plan),
                    help="A1:A2:TAU, repeatable")
     p.add_argument("--from-analysis",
                    help="directory with vbs_report.tsv")
     p.add_argument("--logs", help="static run log for the comparison report")
-    p.add_argument("--functions",
-                   type=lambda s: _parse_int_list(s, "function",
-                                                  valid=IMPLEMENTED_FUNCTIONS))
-    p.add_argument("--dims", type=lambda s: _parse_int_list(s, "dimension", 2))
+    p.add_argument("--functions", type=functions)
+    p.add_argument("--dims", type=dims)
     _add_common(p)
     _add_warmstart(p)
     p.set_defaults(func=cmd_switch)
 
     p = sub.add_parser("sweep-tau", help="switching-point sensitivity sweep")
-    p.add_argument("--a1", type=_algorithm, required=True)
-    p.add_argument("--a2", type=_algorithm, required=True)
-    p.add_argument("--function", type=int, choices=IMPLEMENTED_FUNCTIONS,
-                   required=True)
-    p.add_argument("--dim", type=lambda s: _count(s, 2), required=True)
-    p.add_argument("--tau-exponents",
-                   type=_tau_exponents,
+    p.add_argument("--a1", type=_arg(canonical_algorithm), required=True)
+    p.add_argument("--a2", type=_arg(canonical_algorithm), required=True)
+    p.add_argument("--function", type=_arg(_number, int),
+                   choices=IMPLEMENTED_FUNCTIONS, required=True)
+    p.add_argument("--dim", type=_arg(_count, 2), required=True)
+    p.add_argument("--tau-exponents", type=_arg(_tau_exponents),
                    help="comma-separated exponents, snapped to the grid; "
                         "default: full grid")
     _add_common(p)

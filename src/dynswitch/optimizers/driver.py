@@ -59,10 +59,12 @@ class OptimizerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", canonical_algorithm(self.algorithm))
-        # refused here, before any run, rather than by each constructor call
+        # refused here, before any run, rather than by each constructor call;
+        # the starting state is no setting: only a warm start hands it over
         takes = [name for name in inspect.signature(
                      ALGORITHMS[self.algorithm]).parameters
-                 if name not in ("dim", "rng")]
+                 if name not in ("dim", "rng", "x0", "inv_hessian", "mean", "C",
+                                 "positions", "velocities", "population")]
         unknown = sorted(set(self.overrides) - set(takes))
         if unknown:
             raise ValueError(f"{self.algorithm} takes no setting "

@@ -213,9 +213,9 @@ def apply_warmstart(ws: WarmStartState, source: str, target: str,
     """The dedicated model transfer for BFGS -> CMA-ES and CMA-ES -> BFGS in
     ``full`` mode; the generic transfer for everything else.
 
-    ``overrides`` are A2's constructor overrides (``OptimizerConfig``); the
-    warm-started mean, sigma, C, x0, inverse Hessian and population win over
-    them.
+    ``overrides`` are A2's constructor overrides (``OptimizerConfig``, which
+    refuses the starting state as a setting); a warm-started sigma wins over
+    theirs.
     """
     if policy.mode == MODE_FULL:
         if (source, target) == ("BFGS", "CMA-ES"):

@@ -1,7 +1,9 @@
+import argparse
 import collections
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -799,6 +801,51 @@ def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "switch"])
+def test_a_log_that_holds_one_run_twice_is_refused(command, bench_dir,
+                                                   tmp_path, capsys):
+    # the copies used to pool as extra runs of their cell
+    log = tmp_path / "twice.jsonl"
+    log.write_text((bench_dir / "runs.jsonl").read_text() * 2)
+    argv = {"analyze": [],
+            "switch": ["--plan", "BFGS:CMA-ES:1e-2", "--functions", "1",
+                       "--dims", "2", "--instances", "1", "--runs", "1",
+                       "--budget-mult", "2000"]}[command]
+    out = tmp_path / "out"
+    assert run_cli(command, *argv, "--logs", str(log), "--out", str(out)) == 1
+    assert (f"{log} holds BFGS F1 2D instance 1 run 0 at budget 4000 twice"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _typed_options():
+    """(command, flag) for every option that converts its value."""
+    [commands] = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.option_strings[-1])
+            for command, parser in commands.choices.items()
+            for action in parser._actions if action.type is not None]
+
+
+def test_the_option_walk_finds_the_count_options():
+    options = _typed_options()
+    assert {("bench", "--runs"), ("bench", "--dims"), ("switch", "--dims"),
+            ("sweep-tau", "--dim"), ("sweep-tau", "--function"),
+            ("analyze", "--phi")} <= set(options)
+
+
+@pytest.mark.parametrize("command, option", _typed_options())
+def test_every_typed_option_refuses_a_non_number_naming_its_flag(
+        command, option, tmp_path, capsys):
+    # a converter's reason reaches the message, not the converter's name
+    out = tmp_path / "out"
+    assert run_cli(command, option, "x", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err
+    assert not re.search(r"invalid \S+ value", err), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, named", [
     ({"CMA-ES": {"popsize": 4}}, "CMA-ES takes no setting 'popsize'"),
     ({"bfgs": {"trajectory_window": 11}},
@@ -807,6 +854,18 @@ def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
     ({"MLSL": {"swarm_size": 4}}, "MLSL takes no setting 'swarm_size'"),
     ([1, 2], "must hold a JSON object of objects"),
     ({"BFGS": 3}, "must hold a JSON object of objects"),
+    # the starting state is handed over by a warm start, never set: a BFGS
+    # x0 made every run a copy of one, and PSO positions set the swarm size
+    ({"BFGS": {"x0": [1.0, 1.0]}},
+     "BFGS takes no setting 'x0'; it takes gradient_tolerance"),
+    ({"BFGS": {"inv_hessian": [[1, 0], [0, 1]]}},
+     "BFGS takes no setting 'inv_hessian'"),
+    ({"CMA-ES": {"mean": [0, 0], "C": [[1, 0], [0, 1]]}},
+     "CMA-ES takes no setting 'C', 'mean'"),
+    ({"PSO": {"positions": [[0, 0], [1, 1]]}},
+     "PSO takes no setting 'positions'"),
+    ({"PSO": {"velocities": [[0, 0]]}}, "PSO takes no setting 'velocities'"),
+    ({"DE": {"population": [[0, 0]] * 4}}, "DE takes no setting 'population'"),
 ])
 @pytest.mark.parametrize("command", ["bench", "switch"])
 def test_config_is_checked_before_any_run(command, config, named, tmp_path,
