@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -169,18 +170,17 @@ def _policy_from_args(args):
         step_size_window=args.step_window,
         hyperbox_radius=args.eta,
         hessian_scale=args.beta,
+        early_switch=not args.no_early_switch,
     )
 
 
-def _bench_cell(args, configs, cell):
+def _bench_cell(seed, phi, task):
     """Worker: one static run.  Top level so it pickles for the pool."""
-    algorithm, function_id, dim, instance, run = cell
-    problem = instantiate(ProblemId(function_id, dim, instance), args.suite_seed)
-    trace = run_single(
-        configs[algorithm], problem, budget=args.budget_mult * dim,
-        final_target=args.phi, seed=cell_seed(args.seed, *cell), run_index=run,
-    )
-    return trace.to_record()
+    config, problem, budget, run = task
+    return run_single(
+        config, problem, budget=budget, final_target=phi, run_index=run,
+        seed=cell_seed(seed, config.algorithm, *astuple(problem.id), run),
+    ).to_record()
 
 
 def _create(path):
@@ -234,19 +234,23 @@ def _finish(args, log, records, failures, tables):
 
 
 def cmd_bench(args):
-    cells = [(a, f, d, inst, run) for a in args.algorithms
-             for f in args.functions for d in args.dims
-             for inst in args.instances for run in range(args.runs)]
-    worker = functools.partial(_bench_cell, args,
-                               _optimizer_configs(args, args.algorithms))
-    records, failures = run_tasks(worker, cells, args.jobs)
+    configs = _optimizer_configs(args, args.algorithms)
+    problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
+                for f in args.functions for d in args.dims
+                for i in args.instances}
+    tasks = [(configs[a], problems[f, d, i], args.budget_mult * d, run)
+             for a in args.algorithms for f, d, i in problems
+             for run in range(args.runs)]
+    records, failures = run_tasks(
+        functools.partial(_bench_cell, args.seed, args.phi), tasks, args.jobs)
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     for (label, f, d), curve in sorted(build_ert_tables(records).items()):
         _, succ, total = curve[phi_exp]
         print(f"{label:8s} F{f:<3d} {d:>2d}D  {succ}/{total} successes")
     return _finish(args, "runs.jsonl", records, [
-        f"{a} F{f} {d}D instance {i} run {r}: {message}"
-        for (a, f, d, i, r), message in failures], {})
+        f"{config.algorithm} F{problem.id.function_id} {problem.id.dimension}D "
+        f"instance {problem.id.instance} run {run}: {message}"
+        for (config, problem, _, run), message in failures], {})
 
 
 def _read_log(path):
@@ -325,6 +329,10 @@ def cmd_switch(args):
                  int(row["function_id"]), int(row["dimension"]))
                 for row in rows
                 if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"])
+        # --functions and --dims, when given, keep only the cells they list
+        plan_cells = [(a1, a2, tau, f, d) for a1, a2, tau, f, d in plan_cells
+                      if (not args.functions or f in args.functions)
+                      and (not args.dims or d in args.dims)]
     if args.plan:
         if not args.functions or not args.dims:
             raise ValueError("--plan needs --functions and --dims")
@@ -334,6 +342,13 @@ def cmd_switch(args):
     static_tables = None
     if args.logs:
         static_records = _read_log(args.logs)
+        # the report would read a switch run as a static run
+        for rec in static_records:
+            if "switch_eval" in rec:
+                a, f, d, i, r = _run_key(rec)
+                raise ValueError(f"--logs {args.logs} holds the switch run {a} "
+                                 f"F{f} {d}D instance {i} run {r}: give it a "
+                                 f"bench log")
         # static and actual ERT are only comparable at the same budget
         planned = {(f, d) for *_, f, d in plan_cells}
         for f, d, budget in sorted({(r["function_id"], r["dimension"],
@@ -355,8 +370,7 @@ def cmd_switch(args):
     tasks = [(plan, problems[f, d, i], args.budget_mult * d, run)
              for plan, f, d in switch_cells
              for i in args.instances for run in range(args.runs)]
-    records, failures = run_switch_tasks(tasks, args.seed,
-                                         not args.no_early_switch, args.jobs)
+    records, failures = run_switch_tasks(tasks, args.seed, args.jobs)
     return _finish(args, "switch_runs.jsonl", records, failures, {
         "switch_report.tsv": switch_report(
             switch_cells, build_ert_tables(records), static_tables,
@@ -376,8 +390,7 @@ def cmd_sweep_tau(args):
         configs[args.a1], configs[args.a2], problems, exps,
         runs_per_instance=args.runs, phi=args.phi,
         budget=args.budget_mult * args.dim, seed=args.seed,
-        policy=_policy_from_args(args),
-        early_switch=not args.no_early_switch, jobs=args.jobs,
+        policy=_policy_from_args(args), jobs=args.jobs,
     )
     return _finish(args, "sweep_runs.jsonl", records, failures, {
         "sweep_runs.tsv": sweep_run_table(records, phi_exp),

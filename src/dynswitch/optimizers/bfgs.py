@@ -53,6 +53,9 @@ class Bfgs(Optimizer):
             np.eye(dim) if inv_hessian is None
             else symmetrize(np.asarray(inv_hessian, dtype=float))
         )
+        if not 0 <= gradient_tolerance < np.inf:
+            raise ValueError(f"BFGS gradient_tolerance must be finite and >= 0, "
+                             f"got {gradient_tolerance}")
         self.gradient_tolerance = gradient_tolerance
         # every iterate, most recent first: copies that nothing writes to
         self.recent_points = deque([self.x.copy()])

@@ -135,6 +135,11 @@ class De(Optimizer):
             population = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, size=(size, dim))
         self.population = np.asarray(population, dtype=float)
         self.values = np.full(self.population.shape[0], np.inf)
+        if not 0 <= crossover_rate <= 1:
+            raise ValueError(f"DE crossover_rate must be in [0, 1], "
+                             f"got {crossover_rate}")
+        if not 0 <= tol < np.inf:
+            raise ValueError(f"DE tol must be finite and >= 0, got {tol}")
         self.crossover_rate = crossover_rate
         self.tol = tol
         self._evaluated_once = False

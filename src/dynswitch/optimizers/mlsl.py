@@ -76,6 +76,12 @@ class Mlsl(Optimizer):
         if population_size < 1:
             raise ValueError(f"MLSL needs a population of at least 1, "
                              f"got {population_size}")
+        for name, value in (("reduced_fraction", reduced_fraction),
+                            ("local_budget_fraction", local_budget_fraction)):
+            if not 0 < value <= 1:
+                raise ValueError(f"MLSL {name} must be in (0, 1], got {value}")
+        if not 0 <= f_tol < math.inf:
+            raise ValueError(f"MLSL f_tol must be finite and >= 0, got {f_tol}")
         self.population_size = population_size
         self.reduced_fraction = reduced_fraction
         self.local_budget_fraction = local_budget_fraction

@@ -2,9 +2,9 @@
 
 Both phases share one evaluator, so the budget and the evaluation counter
 are strictly cumulative across the boundary and best-so-far never worsens
-at the switch.  When A1 converges internally above tau, the default policy
-switches immediately at that point; ``early_switch=False`` restores the
-strict no-switch semantics.
+at the switch.  When A1 converges internally above tau, the run switches
+immediately at that point unless the plan's policy sets
+``WarmStartPolicy.early_switch`` to False, the strict no-switch semantics.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def run_switch(
     budget: int,
     seed: int = 0,
     run_index: int = 0,
-    early_switch: bool = True,
 ) -> SwitchTrace:
     """Execute one dynamic run; deterministic given (plan, problem, seed)."""
     ev = BudgetedEvaluator(
@@ -102,7 +101,7 @@ def run_switch(
     switch_eval = None
     phase2_reason = None
     do_switch = phase1_reason == TERMINATED_TARGET or (
-        early_switch
+        plan.policy.early_switch
         and phase1_reason == TERMINATED_CONVERGED
         and ev.evals_used > 0
     )
@@ -119,9 +118,7 @@ def run_switch(
             phase2_reason = TERMINATED_TARGET
         else:
             phase2_reason = drive(a2, ev)
-        ev.trace.terminated_reason = phase2_reason
-    else:
-        ev.trace.terminated_reason = phase1_reason
+    ev.trace.terminated_reason = phase2_reason or phase1_reason
     return SwitchTrace(
         trace=ev.trace,
         tau=plan.tau,
@@ -153,15 +150,15 @@ def run_tasks(worker, tasks, jobs):
     return results, failures
 
 
-def _switch_task(seed, early_switch, task):
+def _switch_task(seed, task):
     """Worker: one switch run.  Top level so it pickles for the pool."""
     plan, problem, budget, run = task
     a1_seed = cell_seed(seed, plan.a1.algorithm, *astuple(problem.id), run)
     return run_switch(plan, problem, budget=budget, seed=a1_seed,
-                      run_index=run, early_switch=early_switch).to_record()
+                      run_index=run).to_record()
 
 
-def run_switch_tasks(tasks, seed, early_switch=True, jobs=1):
+def run_switch_tasks(tasks, seed, jobs=1):
     """Run tasks ``(plan, problem, budget, run)`` over ``jobs`` processes,
     A1 seeded from ``seed`` as bench seeds its static run, which it replays.
 
@@ -181,7 +178,7 @@ def run_switch_tasks(tasks, seed, early_switch=True, jobs=1):
                 f"switching points on the same grid target {plan.tau_exponent}")
         seen.add(key)
     records, failures = run_tasks(
-        functools.partial(_switch_task, seed, early_switch), tasks, jobs)
+        functools.partial(_switch_task, seed), tasks, jobs)
     return records, [
         f"{plan.a1.algorithm}>{plan.a2.algorithm} F{problem.id.function_id} "
         f"{problem.id.dimension}D tau {plan.tau:g} instance "
@@ -199,7 +196,6 @@ def sweep_tau(
     phi: float = DEFAULT_FINAL_TARGET,
     seed: int = 0,
     policy: WarmStartPolicy = WarmStartPolicy(),
-    early_switch: bool = True,
     jobs: int = 1,
 ):
     """Switching-point sensitivity sweep over ``jobs`` processes.
@@ -212,4 +208,4 @@ def sweep_tau(
                         policy=policy) for tau_exp in tau_exponents]
     tasks = [(plan, problem, budget, run) for plan in plans
              for problem in problems for run in range(runs_per_instance)]
-    return run_switch_tasks(tasks, seed, early_switch, jobs)
+    return run_switch_tasks(tasks, seed, jobs)

@@ -39,12 +39,14 @@ class WarmStartPolicy:
     ``full`` selects the dedicated BFGS -> CMA-ES and CMA-ES -> BFGS
     transfers; ``point_only`` gives those two pairs the generic transfer.
     The other 18 ordered pairs take the generic transfer in both modes.
+    ``early_switch``: whether a run whose A1 converged above tau hands over.
     """
 
     mode: str = MODE_FULL
     step_size_window: int = 10     # n: trajectory points averaged for sigma
     hyperbox_radius: float = 0.1   # eta: half-width of the seeding box
     hessian_scale: float = 1.0     # beta: scale for covariance -> inv Hessian
+    early_switch: bool = True
 
     def __post_init__(self):
         if self.mode not in (MODE_POINT_ONLY, MODE_FULL):

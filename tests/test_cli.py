@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -613,8 +614,7 @@ def test_switch_runs_replay_the_static_run_of_their_a1(tmp_path):
 def test_sweep_summary_ert_counts_failed_runs_once(tmp_path, monkeypatch):
     # hand-built runs: run 0 reaches phi after 100 evaluations, run 1 fails
     # after 300, so the ERT is 400/1 while the mean cost is 400/2
-    def fake_run_switch(plan, problem, budget=None, seed=0, run_index=0,
-                        early_switch=True):
+    def fake_run_switch(plan, problem, budget=None, seed=0, run_index=0):
         trace = RunTrace(problem=problem.id, algorithm_label=plan.label(),
                          run_index=run_index, budget=budget,
                          evals_used=300 if run_index else 100)
@@ -994,3 +994,136 @@ def test_sweep_tau_refuses_an_exponent_without_a_finite_tau(exponent, tau,
             f"must be positive and finite, got {tau}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_bench_builds_each_problem_once(tmp_path, monkeypatch):
+    # one problem per (function, dimension, instance), shared by its
+    # algorithms and runs, as switch shares its problems across plans
+    built = []
+    real_instantiate = cli.instantiate
+
+    def counting(pid, suite_seed):
+        built.append(pid)
+        return real_instantiate(pid, suite_seed)
+
+    monkeypatch.setattr(cli, "instantiate", counting)
+    assert main(["bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
+                 "--dims", "2", "--instances", "1,2", "--runs", "2",
+                 "--budget-mult", "50", "--out", str(tmp_path / "out")]) == 0
+    assert [astuple(pid) for pid in built] == [(1, 2, 1), (1, 2, 2)]
+
+
+@pytest.mark.parametrize("flag", [[], ["--no-early-switch"]])
+def test_switch_no_early_switch_reaches_the_runs(flag, tmp_path):
+    # the setup of _sweep_with_a_cmaes_a2_it_cannot_build: BFGS converges
+    # on F10 2D above 10^-7.8 and hands over there only without the flag
+    out = tmp_path / "switch"
+    assert main(["switch", "--plan", "BFGS:CMA-ES:1.6e-8", "--functions",
+                 "10", "--dims", "2", "--instances", "1,2", "--runs", "2",
+                 "--budget-mult", "50", *flag, "--out", str(out)]) == 0
+    records, _ = load_records(out / "switch_runs.jsonl")
+    converged = [r["phase1_reason"] == "algorithm_converged" for r in records]
+    assert len(records) == 4 and any(converged)
+    assert [r["switch_eval"] is not None for r in records] == \
+        [c and not flag for c in converged]
+
+
+def _analysis_of_cells(tmp_path, cells):
+    """An analysis whose dynamic virtual best is BFGS>PSO at tau 1 in each
+    (function, dimension) of ``cells``."""
+    analysis = tmp_path / "analysis"
+    cli._write_table(analysis / "vbs_report.tsv", *vbs_table([
+        VbsReport(f, d, "BFGS", 40.0, "BFGS", "PSO", 0.0, 30.0, 0.25)
+        for f, d in cells]))
+    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
+    return analysis
+
+
+@pytest.mark.parametrize("selection, ran", [
+    (["--functions", "1"], [(1, 2), (1, 3)]),
+    (["--dims", "2"], [(1, 2), (8, 2)]),
+    (["--functions", "8", "--dims", "2"], [(8, 2)]),
+    ([], [(1, 2), (1, 3), (8, 2)]),
+])
+def test_switch_from_analysis_runs_the_cells_selected(selection, ran,
+                                                      tmp_path):
+    # --functions and --dims used to be ignored: every cell of the analysis ran
+    analysis = _analysis_of_cells(tmp_path, [(1, 2), (8, 2), (1, 3)])
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(analysis), *selection,
+                 "--runs", "1", "--instances", "1", "--budget-mult", "50",
+                 "--out", str(out)]) == 0
+    records, _ = load_records(out / "switch_runs.jsonl")
+    assert sorted((r["function_id"], r["dimension"]) for r in records) == ran
+
+
+@pytest.mark.parametrize("selection", [
+    ["--dims", "3"], ["--functions", "1", "--dims", "3"], ["--functions", "10"],
+])
+def test_switch_from_analysis_refuses_a_selection_without_runs(
+        selection, tmp_path, capsys):
+    analysis = _analysis_of_cells(tmp_path, [(1, 2), (8, 2)])
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(analysis), *selection,
+                 "--runs", "1", "--instances", "1", "--budget-mult", "50",
+                 "--out", str(out)]) == 1
+    assert "no switch run to execute" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, log, label", [
+    (["switch", "--plan", "CMA-ES:BFGS:1", "--functions", "1", "--dims", "2"],
+     "switch_runs.jsonl", "CMA-ES>BFGS@1"),
+    (["sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS", "--function", "1",
+      "--dim", "2", "--tau-exponents", "0"], "sweep_runs.jsonl",
+     "CMA-ES>BFGS@1"),
+])
+def test_switch_refuses_a_switch_log_as_its_static_log(command, log, label,
+                                                       tmp_path, capsys):
+    # its runs used to stand in for the static runs: the report's static
+    # ERT was the ERT of the CMA-ES>BFGS runs
+    small = ["--instances", "1,2", "--runs", "2", "--budget-mult", "300"]
+    assert main([*command, *small, "--out", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / log
+    out = tmp_path / "switch"
+    capsys.readouterr()
+    assert main(["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "1",
+                 "--dims", "2", *small, "--logs", str(path),
+                 "--out", str(out)]) == 1
+    assert (f"--logs {path} holds the switch run {label} F1 2D instance 1 "
+            f"run 0" in capsys.readouterr().err)
+    assert not out.exists()
+    # analyze still reads switch and sweep logs
+    assert main(["analyze", "--logs", str(path),
+                 "--out", str(tmp_path / "analysis")]) == 0
+
+
+@pytest.mark.parametrize("algorithm, setting, value, rule", [
+    ("DE", "crossover_rate", 7, "in [0, 1]"),
+    ("DE", "crossover_rate", -0.5, "in [0, 1]"),
+    ("DE", "crossover_rate", math.nan, "in [0, 1]"),
+    ("DE", "tol", -1, "finite and >= 0"),
+    ("DE", "tol", math.inf, "finite and >= 0"),
+    ("MLSL", "reduced_fraction", 5, "in (0, 1]"),
+    ("MLSL", "reduced_fraction", 0, "in (0, 1]"),
+    ("MLSL", "local_budget_fraction", -1, "in (0, 1]"),
+    ("MLSL", "local_budget_fraction", math.nan, "in (0, 1]"),
+    ("MLSL", "f_tol", -1, "finite and >= 0"),
+    ("MLSL", "f_tol", math.nan, "finite and >= 0"),
+    ("BFGS", "gradient_tolerance", -1, "finite and >= 0"),
+    ("BFGS", "gradient_tolerance", math.inf, "finite and >= 0"),
+])
+def test_a_setting_out_of_its_range_fails_its_runs(algorithm, setting, value,
+                                                   rule, tmp_path, capsys):
+    # checked by name only, a DE crossover_rate of 7 used to run as 1
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({algorithm: {setting: value}}))
+    out = tmp_path / "out"
+    assert main(["bench", "--algorithms", algorithm, "--functions", "1",
+                 "--dims", "2", "--runs", "1", "--instances", "1",
+                 "--budget-mult", "50", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert failed == [f"FAILED {algorithm} F1 2D instance 1 run 0: "
+                      f"{algorithm} {setting} must be {rule}, got {value}"]

@@ -10,6 +10,7 @@ from dynswitch.optimizers import OptimizerConfig, run_single
 from dynswitch.problems import ProblemId, instantiate
 from dynswitch.switching import SwitchPlan, run_switch, run_tasks, sweep_tau
 from dynswitch.tracing import DEFAULT_GRID, TERMINATED_TARGET
+from dynswitch.warmstart import WarmStartPolicy
 
 
 BFGS = OptimizerConfig("BFGS")
@@ -62,8 +63,9 @@ def test_huge_tau_switches_almost_immediately(sphere_problem):
 def test_no_switch_replays_pure_first_phase(f10_d5):
     # tau below what BFGS reaches on this problem: with early switching off
     # the dynamic run must be byte-for-byte the static BFGS run
-    plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=1e-7, phi=1e-8)
-    st = run_switch(plan, f10_d5, budget=5000, seed=3, early_switch=False)
+    plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=1e-7, phi=1e-8,
+                      policy=WarmStartPolicy(early_switch=False))
+    st = run_switch(plan, f10_d5, budget=5000, seed=3)
     single = run_single(BFGS, f10_d5, budget=5000, final_target=1e-7, seed=3)
     if st.switch_eval is None:
         assert st.trace.evals_used == single.evals_used
@@ -114,10 +116,15 @@ def test_identity_pair_runs(sphere_problem):
 def test_warm_start_survives_phase_one_convergence(f10_d5):
     # BFGS usually stalls before 1e-7 on this problem; with early switching
     # the run must still continue into phase two instead of stopping
-    plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=1e-7)
-    st = run_switch(plan, f10_d5, budget=50_000, seed=3, early_switch=True)
+    plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=1e-7,
+                      policy=WarmStartPolicy(early_switch=True))
+    st = run_switch(plan, f10_d5, budget=50_000, seed=3)
     assert st.trace.best_precision <= 1e-8
     assert st.phase2_reason is not None
+
+
+def test_the_policy_switches_early_by_default():
+    assert WarmStartPolicy().early_switch is True
 
 
 def test_sweep_tau_shapes(sphere_problem):
