@@ -366,7 +366,8 @@ def cmd_switch(args):
                                 phi=args.phi, policy=policy), f, d)
                     for a1, a2, tau, f, d in plan_cells]
     problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
-                for *_, f, d in plan_cells for i in args.instances}
+                for f, d in dict.fromkeys((f, d) for *_, f, d in plan_cells)
+                for i in args.instances}
     tasks = [(plan, problems[f, d, i], args.budget_mult * d, run)
              for plan, f, d in switch_cells
              for i in args.instances for run in range(args.runs)]

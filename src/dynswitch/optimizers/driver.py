@@ -43,6 +43,15 @@ _ALIASES = {
 }
 
 
+# the values a setting takes, by the type of its constructor default; a None
+# default stands for a computed size
+_SETTING_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    type(None): ((int,), "an integer"),
+}
+
+
 def canonical_algorithm(name: str) -> str:
     key = name.strip().lower()
     if key not in _ALIASES:
@@ -61,8 +70,8 @@ class OptimizerConfig:
         object.__setattr__(self, "algorithm", canonical_algorithm(self.algorithm))
         # refused here, before any run, rather than by each constructor call;
         # the starting state is no setting: only a warm start hands it over
-        takes = [name for name in inspect.signature(
-                     ALGORITHMS[self.algorithm]).parameters
+        signature = inspect.signature(ALGORITHMS[self.algorithm])
+        takes = [name for name in signature.parameters
                  if name not in ("dim", "rng", "x0", "inv_hessian", "mean", "C",
                                  "positions", "velocities", "population")]
         unknown = sorted(set(self.overrides) - set(takes))
@@ -70,6 +79,13 @@ class OptimizerConfig:
             raise ValueError(f"{self.algorithm} takes no setting "
                              f"{', '.join(map(repr, unknown))}; it takes "
                              f"{', '.join(takes)}")
+        for name, value in self.overrides.items():
+            default = signature.parameters[name].default
+            kinds, what = _SETTING_KINDS[type(default)]
+            # a bool is an int, but no setting is a flag
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{self.algorithm} {name} must be {what}, "
+                                 f"got {value!r}")
 
 
 def make_optimizer(config: OptimizerConfig, dim: int, rng):

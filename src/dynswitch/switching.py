@@ -129,25 +129,96 @@ def run_switch(
 
 
 def run_tasks(worker, tasks, jobs):
-    """Apply ``worker`` to every task, in a pool of up to ``jobs`` processes.
+    """Apply ``worker`` to every task over ``jobs`` processes in all.
 
-    No pool is started for a single task, and no more processes than tasks.
-    Returns (results, failures) in task order; a task that raises is
+    At ``jobs`` > 1 the calling process works beside a pool of ``jobs`` - 1
+    processes: each takes the next unclaimed task, in list order, from one
+    shared counter, and reports its outcome as soon as it finishes.  No
+    more processes run than there are tasks.  Returns (results, failures)
+    in task order; a task that raises, or dies with its pool process, is
     reported as (task, message) and the batch continues.
     """
     jobs = min(jobs, len(tasks))
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            calls = [pool.submit(worker, t).result for t in tasks]
+        outcomes = _self_scheduled(worker, tasks, jobs)
     else:
-        calls = [functools.partial(worker, t) for t in tasks]
+        outcomes = [_outcome(worker, t) for t in tasks]
     results, failures = [], []
-    for task, call in zip(tasks, calls):
-        try:
-            results.append(call())
-        except Exception as exc:  # cell failure; batch continues
-            failures.append((task, str(exc)))
+    for task, (ok, value) in zip(tasks, outcomes):
+        if ok:
+            results.append(value)
+        else:
+            failures.append((task, value))
     return results, failures
+
+
+def _outcome(worker, task):
+    """(True, ``worker(task)``), or (False, its message) if it raised."""
+    try:
+        return True, worker(task)
+    except Exception as exc:  # cell failure; batch continues
+        return False, str(exc)
+
+
+# (worker, tasks, counter) in a pool process: an initializer is the one way
+# to hand a pool process a shared counter
+_batch = None
+
+
+def _join(worker, tasks, counter):
+    """Pool initializer: the batch this process takes its tasks from."""
+    global _batch
+    _batch = worker, tasks, counter
+
+
+def _claim(counter):
+    """The index of the next unclaimed task."""
+    with counter.get_lock():
+        counter.value += 1
+        return counter.value - 1
+
+
+def _run_next():
+    """Pool call: (index, outcome) of the next unclaimed task, or None
+    when every task is claimed."""
+    worker, tasks, counter = _batch
+    index = _claim(counter)
+    if index < len(tasks):
+        return index, _outcome(worker, tasks[index])
+
+
+def _self_scheduled(worker, tasks, jobs):
+    """Outcomes of ``tasks`` in task order, from this process and a pool.
+
+    The pool is handed one call per task; a call claims its task only when
+    it starts, so the calls queued in the pool bind no task.  Each pool
+    process gets the batch once, through the initializer (a fork inherits
+    it), not a task per call.  A task claimed by a process that died fails
+    with the pool's message; this process runs every task still unclaimed.
+    """
+    import multiprocessing  # here: only a pool needs it, as for the executor
+
+    counter = multiprocessing.Value("q", 0)
+    outcomes = {}
+    with concurrent.futures.ProcessPoolExecutor(
+            jobs - 1, initializer=_join,
+            initargs=(worker, tasks, counter)) as pool:
+        calls = [pool.submit(_run_next) for _ in tasks]
+        while (index := _claim(counter)) < len(tasks):
+            outcomes[index] = _outcome(worker, tasks[index])
+        pool.shutdown(cancel_futures=True)
+    lost = None
+    for call in calls:
+        if call.cancelled():
+            continue
+        try:
+            claimed = call.result()
+        except Exception as exc:  # the pool broke: its claimed tasks are lost
+            lost = str(exc)
+        else:
+            if claimed is not None:
+                outcomes[claimed[0]] = claimed[1]
+    return [outcomes.get(i, (False, lost)) for i in range(len(tasks))]
 
 
 def _switch_task(seed, task):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import astuple
 from pathlib import Path
 
@@ -219,12 +220,14 @@ def test_switch_from_analysis(analysis_dir, tmp_path):
         "switch", "--from-analysis", str(analysis_dir), *TWO_BY_THREE,
         "--budget-mult", "2000", "--out", str(out),
     ])
-    # the VBS may pick an identity pair for every cell; then there is
-    # nothing to execute and the command reports a usage problem
-    if code == 0:
-        assert (out / "switch_report.tsv").exists()
-    else:
-        assert code == 1
+    # the fixture's analysis always picks a dynamic pair somewhere
+    assert code == 0
+    dynamic = {(r["function_id"], r["dimension"])
+               for r in _report_rows(analysis_dir / "vbs_report.tsv")
+               if r["dyn_a1"] != r["dyn_a2"] and r["dyn_tau_exponent"]}
+    report = _report_rows(out / "switch_report.tsv")
+    assert dynamic and len(report) == len(dynamic)
+    assert {(r["function_id"], r["dimension"]) for r in report} == dynamic
 
 
 def test_switch_from_analysis_reads_static_log_directory(
@@ -1011,6 +1014,90 @@ def test_bench_builds_each_problem_once(tmp_path, monkeypatch):
                  "--dims", "2", "--instances", "1,2", "--runs", "2",
                  "--budget-mult", "50", "--out", str(tmp_path / "out")]) == 0
     assert [astuple(pid) for pid in built] == [(1, 2, 1), (1, 2, 2)]
+
+
+def test_switch_builds_each_problem_once(tmp_path, monkeypatch):
+    # three plans on one cell share its problems
+    built = []
+    real_instantiate = cli.instantiate
+
+    def counting(pid, suite_seed):
+        built.append(pid)
+        return real_instantiate(pid, suite_seed)
+
+    monkeypatch.setattr(cli, "instantiate", counting)
+    plans = ["--plan", "BFGS:CMA-ES:1", "--plan", "CMA-ES:BFGS:1",
+             "--plan", "BFGS:CMA-ES:1e-2"]
+    assert main(["switch", *plans, "--functions", "1", "--dims", "2",
+                 "--instances", "1,2", "--runs", "1", "--budget-mult", "50",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [astuple(pid) for pid in built] == [(1, 2, 1), (1, 2, 2)]
+
+
+def test_a_dead_pool_process_fails_only_the_run_it_held(tmp_path, monkeypatch,
+                                                       capsys):
+    # at --jobs 2 the pool has one process: it finishes a run, then dies
+    # in its second while this process waits in its first
+    parent, died, finished = os.getpid(), tmp_path / "died", tmp_path / "done"
+    runs_here = []  # a forked pool process counts in its own copy
+    real_run_single = cli.run_single
+
+    def dying(config, problem, **kwargs):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 60
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        elif runs_here:
+            died.touch()
+            os._exit(1)
+        runs_here.append(kwargs["run_index"])
+        trace = real_run_single(config, problem, **kwargs)
+        if os.getpid() != parent:
+            finished.write_text(f"{problem.id.instance} {kwargs['run_index']}")
+        return trace
+
+    monkeypatch.setattr(cli, "run_single", dying)
+    out = tmp_path / "out"
+    assert main(["bench", "--algorithms", "BFGS", "--functions", "1",
+                 "--dims", "2", "--instances", "1,2", "--runs", "2",
+                 "--budget-mult", "50", "--jobs", "2",
+                 "--out", str(out)]) == 2
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED")]
+    assert len(failed) == 1 and "terminated abruptly" in failed[0], failed
+    records, _ = load_records(out / "runs.jsonl")
+    assert len(records) == 3
+    # the run the pool process finished before it died is kept
+    instance, run = map(int, finished.read_text().split())
+    assert (instance, run) in {(r["instance"], r["run_index"]) for r in records}
+    assert f"BFGS F1 2D instance {instance} run {run}:" not in failed[0]
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"DE": {"crossover_rate": "0.5"}},
+     "DE crossover_rate must be a number, got '0.5'"),
+    ({"DE": {"crossover_rate": True}},
+     "DE crossover_rate must be a number, got True"),
+    ({"CMA-ES": {"population_size": 6.5}},
+     "CMA-ES population_size must be an integer, got 6.5"),
+    ({"CMA-ES": {"sigma": None}}, "CMA-ES sigma must be a number, got None"),
+    ({"PSO": {"swarm_size": 40.0}}, "PSO swarm_size must be an integer, got 40.0"),
+])
+@pytest.mark.parametrize("command", ["bench", "switch"])
+def test_a_setting_of_the_wrong_type_is_refused_by_name(command, config, named,
+                                                        tmp_path, capsys):
+    # it used to fail every run with a numeric error naming no setting, and
+    # a rate of true ran as 1
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    argv = {"bench": ["--algorithms", "DE,CMA-ES"],
+            "switch": ["--plan", "DE:CMA-ES:1"]}[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--functions", "1", "--dims", "2",
+                 "--instances", "1", "--runs", "1", "--budget-mult", "50",
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [[], ["--no-early-switch"]])

@@ -1,4 +1,6 @@
 import concurrent.futures
+import functools
+import os
 import time
 
 import numpy as np
@@ -183,9 +185,10 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     started = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, initializer=initializer,
+                             initargs=initargs)
 
     monkeypatch.setattr(switching.concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
@@ -193,4 +196,34 @@ def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     assert run_tasks(abs, [-1, -2, -3], jobs=2) == ([1, 2, 3], [])
     assert run_tasks(abs, [-4], jobs=8) == ([4], [])
     assert run_tasks(abs, [], jobs=8) == ([], [])
-    assert started == [3, 2]
+    # the calling process is one of the jobs: 3 and 2 processes for 3 tasks
+    assert started == [2, 1]
+
+
+def _pid_after_a_nap(task):
+    time.sleep(0.05)
+    return os.getpid()
+
+
+def _log_task(path, task):
+    with open(path, "a") as fh:  # one short appended line per run
+        fh.write(f"{task}\n")
+    return task
+
+
+def test_run_tasks_runs_each_task_once_under_contention(tmp_path):
+    # more processes than cores race for the counter: a lost update would
+    # run a task twice
+    log = tmp_path / "ran"
+    tasks = list(range(300))
+    results, failures = run_tasks(functools.partial(_log_task, log), tasks,
+                                  jobs=4)
+    assert results == tasks and failures == []
+    assert sorted(map(int, log.read_text().split())) == tasks
+
+
+def test_run_tasks_runs_jobs_processes_in_all():
+    # the calling process takes tasks beside one pool process at jobs 2
+    pids, failures = run_tasks(_pid_after_a_nap, list(range(6)), jobs=2)
+    assert failures == [] and len(pids) == 6
+    assert os.getpid() in pids and len(set(pids)) <= 2
