@@ -148,7 +148,7 @@ def _grid_target(text):
 def _optimizer_configs(args, algorithms):
     """OptimizerConfig per algorithm, with the --config overrides applied.
 
-    Every entry of the file is checked before any run, used or not.
+    Every entry's name, type and range is checked before any run, used or not.
     """
     loaded = {}
     if args.config:
@@ -172,6 +172,12 @@ def _policy_from_args(args):
         hessian_scale=args.beta,
         early_switch=not args.no_early_switch,
     )
+
+
+def _problems(args, cells):
+    """{(f, d, i): problem} of ``cells`` x --instances, each built once."""
+    return {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
+            for f, d in dict.fromkeys(cells) for i in args.instances}
 
 
 def _bench_cell(seed, phi, task):
@@ -235,9 +241,8 @@ def _finish(args, log, records, failures, tables):
 
 def cmd_bench(args):
     configs = _optimizer_configs(args, args.algorithms)
-    problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
-                for f in args.functions for d in args.dims
-                for i in args.instances}
+    problems = _problems(args, [(f, d) for f in args.functions
+                                for d in args.dims])
     tasks = [(configs[a], problems[f, d, i], args.budget_mult * d, run)
              for a in args.algorithms for f, d, i in problems
              for run in range(args.runs)]
@@ -301,43 +306,52 @@ def _parse_plan(text):
             _number(parts[2]))
 
 
+def _analysis_plans(args):
+    """Plan cells (a1, a2, tau, f, d) of the --from-analysis cells whose
+    dynamic virtual best switches, and that --functions and --dims list."""
+    vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
+    if not vbs_path.exists():
+        raise ValueError(f"no analysis artifacts at {vbs_path}")
+    # the VBS pairs and their tau were chosen for the analysis's phi
+    manifest_path = vbs_path.with_name("manifest.json")
+    analysis_phi = "unknown (no manifest.json)"
+    if manifest_path.exists():
+        analysis_phi = json.loads(manifest_path.read_text()).get("phi")
+    if analysis_phi != args.phi:
+        raise ValueError(f"the analysis at {args.from_analysis} is for "
+                         f"phi {analysis_phi}, not {args.phi:g}: rerun "
+                         f"`dynswitch analyze --phi {args.phi:g}`")
+    with open(vbs_path, newline="") as fh:
+        rows = csv.DictReader(fh, delimiter="\t")
+        missing = [name for name in vbs_table([])[0]
+                   if name not in (rows.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{vbs_path} lacks the columns "
+                             f"{', '.join(missing)}: rerun `dynswitch analyze`")
+        try:
+            cells = [(canonical_algorithm(row["dyn_a1"]),
+                      canonical_algorithm(row["dyn_a2"]),
+                      _tau(row["dyn_tau_exponent"]), int(row["function_id"]),
+                      int(row["dimension"])) for row in rows
+                     if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"]]
+        except ValueError as exc:
+            raise ValueError(f"{vbs_path} line {rows.line_num}: {exc}") from None
+    return [(a1, a2, tau, f, d) for a1, a2, tau, f, d in cells
+            if (not args.functions or f in args.functions)
+            and (not args.dims or d in args.dims)]
+
+
+def _listed_plans(args):
+    """Plan cells (a1, a2, tau, f, d): each --plan on each listed cell."""
+    if not args.functions or not args.dims:
+        raise ValueError("--plan needs --functions and --dims")
+    return [(a1, a2, tau, f, d) for a1, a2, tau in args.plan
+            for f in args.functions for d in args.dims]
+
+
 def cmd_switch(args):
-    plan_cells = []  # (a1, a2, tau, f, d)
-    if args.from_analysis:
-        vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
-        if not vbs_path.exists():
-            raise ValueError(f"no analysis artifacts at {vbs_path}")
-        # the VBS pairs and their tau were chosen for the analysis's phi
-        manifest_path = vbs_path.with_name("manifest.json")
-        analysis_phi = "unknown (no manifest.json)"
-        if manifest_path.exists():
-            analysis_phi = json.loads(manifest_path.read_text()).get("phi")
-        if analysis_phi != args.phi:
-            raise ValueError(f"the analysis at {args.from_analysis} is for "
-                             f"phi {analysis_phi}, not {args.phi:g}: rerun "
-                             f"`dynswitch analyze --phi {args.phi:g}`")
-        with open(vbs_path, newline="") as fh:
-            rows = csv.DictReader(fh, delimiter="\t")
-            missing = [name for name in vbs_table([])[0]
-                       if name not in (rows.fieldnames or ())]
-            if missing:
-                raise ValueError(f"{vbs_path} lacks the columns "
-                                 f"{', '.join(missing)}: rerun `dynswitch analyze`")
-            plan_cells.extend(
-                (row["dyn_a1"], row["dyn_a2"],
-                 _tau(row["dyn_tau_exponent"]),
-                 int(row["function_id"]), int(row["dimension"]))
-                for row in rows
-                if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"])
-        # --functions and --dims, when given, keep only the cells they list
-        plan_cells = [(a1, a2, tau, f, d) for a1, a2, tau, f, d in plan_cells
-                      if (not args.functions or f in args.functions)
-                      and (not args.dims or d in args.dims)]
-    if args.plan:
-        if not args.functions or not args.dims:
-            raise ValueError("--plan needs --functions and --dims")
-        plan_cells += [(a1, a2, tau, f, d) for a1, a2, tau in args.plan
-                       for f in args.functions for d in args.dims]
+    plan_cells = [*(_analysis_plans(args) if args.from_analysis else ()),
+                  *(_listed_plans(args) if args.plan else ())]
     # the static log is read before any run, so a bad path fails at once
     static_tables = None
     if args.logs:
@@ -365,9 +379,7 @@ def cmd_switch(args):
     switch_cells = [(SwitchPlan(a1=configs[a1], a2=configs[a2], tau=tau,
                                 phi=args.phi, policy=policy), f, d)
                     for a1, a2, tau, f, d in plan_cells]
-    problems = {(f, d, i): instantiate(ProblemId(f, d, i), args.suite_seed)
-                for f, d in dict.fromkeys((f, d) for *_, f, d in plan_cells)
-                for i in args.instances}
+    problems = _problems(args, [(f, d) for *_, f, d in plan_cells])
     tasks = [(plan, problems[f, d, i], args.budget_mult * d, run)
              for plan, f, d in switch_cells
              for i in args.instances for run in range(args.runs)]
@@ -383,12 +395,9 @@ def cmd_sweep_tau(args):
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     exps = args.tau_exponents or [e for e in DEFAULT_GRID.exponents
                                   if e > phi_exp]
-    problems = [
-        instantiate(ProblemId(args.function, args.dim, i), args.suite_seed)
-        for i in args.instances
-    ]
+    problems = _problems(args, [(args.function, args.dim)]).values()
     records, failures = sweep_tau(
-        configs[args.a1], configs[args.a2], problems, exps,
+        configs[args.a1], configs[args.a2], list(problems), exps,
         runs_per_instance=args.runs, phi=args.phi,
         budget=args.budget_mult * args.dim, seed=args.seed,
         policy=_policy_from_args(args), jobs=args.jobs,

@@ -61,14 +61,16 @@ def canonical_algorithm(name: str) -> str:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Algorithm choice plus hyperparameter overrides for its constructor."""
+    """Algorithm choice plus hyperparameter overrides for its constructor;
+    a setting no run could use is refused by name when the config is made."""
 
     algorithm: str
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", canonical_algorithm(self.algorithm))
-        # refused here, before any run, rather than by each constructor call;
+        # refused here, before any run: names and types, then the ranges of
+        # one build at d = 2, as no range a constructor refuses depends on d;
         # the starting state is no setting: only a warm start hands it over
         signature = inspect.signature(ALGORITHMS[self.algorithm])
         takes = [name for name in signature.parameters
@@ -86,6 +88,7 @@ class OptimizerConfig:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"{self.algorithm} {name} must be {what}, "
                                  f"got {value!r}")
+        make_optimizer(self, 2, np.random.default_rng(0))
 
 
 def make_optimizer(config: OptimizerConfig, dim: int, rng):

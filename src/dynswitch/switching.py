@@ -193,8 +193,8 @@ def _self_scheduled(worker, tasks, jobs):
     The pool is handed one call per task; a call claims its task only when
     it starts, so the calls queued in the pool bind no task.  Each pool
     process gets the batch once, through the initializer (a fork inherits
-    it), not a task per call.  A task claimed by a process that died fails
-    with the pool's message; this process runs every task still unclaimed.
+    it), not a task per call.  A pool process that dies fails every task the
+    pool held, a live sibling's too; this process runs every unclaimed task.
     """
     import multiprocessing  # here: only a pool needs it, as for the executor
 

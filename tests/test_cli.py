@@ -1,5 +1,6 @@
 import argparse
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -342,6 +343,48 @@ def test_switch_from_analysis_refuses_an_exponent_without_a_finite_tau(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("function_id", "x", "invalid literal for int() with base 10: 'x'"),
+    ("dyn_a1", "FOO", "unknown algorithm 'FOO'"),
+])
+def test_switch_from_analysis_names_the_row_it_cannot_read(
+        field, value, reason, tmp_path, capsys):
+    # the message used to name neither the file nor the row
+    good = VbsReport(1, 2, "BFGS", 40.0, "BFGS", "PSO", 0.0, 30.0, 0.25)
+    bad = dataclasses.replace(good, dimension=3, **{field: value})
+    path = tmp_path / "analysis" / "vbs_report.tsv"
+    cli._write_table(path, *vbs_table([good, bad]))
+    path.with_name("manifest.json").write_text(json.dumps({"phi": 1e-8}))
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(path.parent), "--runs", "1",
+                 "--instances", "1", "--budget-mult", "50",
+                 "--out", str(out)]) == 1
+    assert f"error: {path} line 3: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_switch_from_analysis_applies_the_config_to_an_alias(tmp_path,
+                                                             monkeypatch):
+    # a hand-written "cmaes" used to run CMA-ES without its --config
+    analysis = tmp_path / "analysis"
+    cli._write_table(analysis / "vbs_report.tsv", *vbs_table([
+        VbsReport(1, 2, "BFGS", 40.0, "cmaes", "BFGS", 0.0, 30.0, 0.25)]))
+    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"CMA-ES": {"population_size": 12}}))
+    planned = []
+
+    def no_runs(tasks, *args):
+        planned.extend(plan.a1 for plan, *_ in tasks)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_switch_tasks", no_runs)
+    assert main(["switch", "--from-analysis", str(analysis), "--runs", "1",
+                 "--instances", "1", "--budget-mult", "50", "--config",
+                 str(cfg), "--out", str(tmp_path / "switch")]) == 0
+    assert [a1.overrides for a1 in planned] == [{"population_size": 12}]
+
+
 def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
     out = tmp_path / "switch4"
     code = main([
@@ -424,22 +467,12 @@ def test_config_overrides_are_applied(tmp_path):
     ({"sigma": math.inf}, "sigma must be finite and positive, got inf"),
 ])
 def test_bench_fails_a_cmaes_cell_it_cannot_run(override, reason, tmp_path,
-                                                 capsys):
+                                                 capsys, monkeypatch):
     # a population of 1 or a NaN step size used to end in a record that
-    # claimed convergence
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"CMA-ES": override}))
-    out = tmp_path / "out"
-    code = main([
-        "bench", "--algorithms", "CMA-ES", "--functions", "1", "--dims", "2",
-        "--runs", "1", "--instances", "1", "--budget-mult", "50",
-        "--config", str(cfg), "--out", str(out),
-    ])
-    assert code == 2
-    failed = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("FAILED")]
-    assert failed == [f"FAILED CMA-ES F1 2D instance 1 run 0: {reason}"]
-    assert (out / "runs.jsonl").read_text() == ""
+    # claimed convergence, then failed each run; now no command runs one
+    for command in SMALL_COMMANDS:
+        _refuses_config(_small(command), {"CMA-ES": override}, reason,
+                        tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("command", [
@@ -634,33 +667,35 @@ def test_sweep_summary_ert_counts_failed_runs_once(tmp_path, monkeypatch):
         ("200.0", "1", "2", "400.0")
 
 
-def _sweep_with_a_cmaes_a2_it_cannot_build(tmp_path, exponents, jobs="1"):
-    # A2 is built at the switch: BFGS reaches tau 10 at once and its run
-    # fails there, while with --no-early-switch it misses 10^-7.8 and ends
-    # without a switch
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"CMA-ES": {"population_size": 1}}))
+def _sweep_whose_warm_start_fails(tmp_path, monkeypatch, exponents,
+                                  jobs="1"):
+    # the warm start runs at the switch: BFGS reaches tau 10 at once and its
+    # run fails there, while with --no-early-switch it misses 10^-7.8 and
+    # ends without a switch
+    def failing_warmstart(*args, **kwargs):
+        raise RuntimeError("no warm start")
+
+    monkeypatch.setattr(switching, "apply_warmstart", failing_warmstart)
     out = tmp_path / f"jobs{jobs}"
     code = main(["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function",
                  "10", "--dim", "2", "--tau-exponents", exponents,
                  "--instances", "1,2", "--runs", "2", "--budget-mult", "50",
-                 "--no-early-switch", "--config", str(cfg), "--jobs", jobs,
-                 "--out", str(out)])
+                 "--no-early-switch", "--jobs", jobs, "--out", str(out)])
     return code, out
 
 
 SWEEP_OUTPUTS = ("sweep_runs.tsv", "sweep_runs.jsonl", "sweep_summary.tsv")
 TAU_10_FAILURES = [
-    f"FAILED BFGS>CMA-ES F10 2D tau 10 instance {i} run {r}: CMA-ES needs a "
-    f"population of at least 2, got 1" for i in (1, 2) for r in (0, 1)]
+    f"FAILED BFGS>CMA-ES F10 2D tau 10 instance {i} run {r}: no warm start"
+    for i in (1, 2) for r in (0, 1)]
 
 
-def test_sweep_tau_names_every_failed_run(tmp_path, capsys):
+def test_sweep_tau_names_every_failed_run(tmp_path, capsys, monkeypatch):
     # the runs that finished are written, as bench and switch write theirs
     outputs = []
     for jobs in ("1", "2"):
-        code, out = _sweep_with_a_cmaes_a2_it_cannot_build(
-            tmp_path, "1,-7.8", jobs)
+        code, out = _sweep_whose_warm_start_fails(
+            tmp_path, monkeypatch, "1,-7.8", jobs)
         assert code == 2
         assert [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("FAILED")] == TAU_10_FAILURES
@@ -678,9 +713,9 @@ def test_sweep_tau_names_every_failed_run(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["records"] == 4
 
 
-def test_sweep_tau_writes_header_only_tables_when_every_run_fails(tmp_path,
-                                                                  capsys):
-    code, out = _sweep_with_a_cmaes_a2_it_cannot_build(tmp_path, "1")
+def test_sweep_tau_writes_header_only_tables_when_every_run_fails(
+        tmp_path, capsys, monkeypatch):
+    code, out = _sweep_whose_warm_start_fails(tmp_path, monkeypatch, "1")
     assert code == 2
     assert [line for line in capsys.readouterr().err.splitlines()
             if line.startswith("FAILED")] == TAU_10_FAILURES
@@ -870,17 +905,31 @@ def test_every_typed_option_refuses_a_non_number_naming_its_flag(
     ({"PSO": {"velocities": [[0, 0]]}}, "PSO takes no setting 'velocities'"),
     ({"DE": {"population": [[0, 0]] * 4}}, "DE takes no setting 'population'"),
 ])
-@pytest.mark.parametrize("command", ["bench", "switch"])
+@pytest.mark.parametrize("command", ["bench", "switch", "sweep-tau"])
 def test_config_is_checked_before_any_run(command, config, named, tmp_path,
-                                          capsys):
+                                          capsys, monkeypatch):
+    _refuses_config(_small(command), config, named, tmp_path, capsys,
+                    monkeypatch)
+
+
+def _small(command):
+    """The words of ``command`` on its small cell of SMALL_COMMANDS."""
+    return [command, *(a for kv in SMALL_COMMANDS[command].items()
+                       for a in kv)]
+
+
+def _refuses_config(argv, config, named, tmp_path, capsys, monkeypatch):
+    """``argv`` with ``config`` as its --config exits 1 naming ``named``
+    before any run, and leaves no --out."""
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(switching, "_outcome", no_run)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
-    argv = {"bench": ["--algorithms", "BFGS,CMA-ES"],
-            "switch": ["--plan", "BFGS:CMA-ES:1"]}[command]
     out = tmp_path / "out"
-    assert run_cli(command, *argv, "--functions", "1", "--dims", "2",
-                   "--instances", "1", "--runs", "1", "--budget-mult", "50",
-                   "--config", str(cfg), "--out", str(out)) == 1
+    assert run_cli(*argv, "--instances", "1", "--runs", "1", "--budget-mult",
+                   "50", "--config", str(cfg), "--out", str(out)) == 1
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -925,17 +974,12 @@ def test_switch_averages_any_step_window(tmp_path, monkeypatch):
      "DE needs a population of at least 4, got 0"),
 ])
 def test_a_population_of_zero_fails_its_cells(command, config, reason,
-                                              tmp_path, capsys):
-    # 0 used to mean the default size
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main([*command, "--functions", "1", "--dims", "2", "--runs", "1",
-                 "--instances", "1", "--budget-mult", "50",
-                 "--config", str(cfg), "--out", str(out)]) == 2
-    failed = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("FAILED")]
-    assert len(failed) == 1 and failed[0].endswith(f": {reason}")
+                                              tmp_path, capsys, monkeypatch):
+    # 0 used to mean the default size, then failed each run, a warm-started
+    # A2's only at its switch; now no command runs one
+    for argv in ([*command, "--functions", "1", "--dims", "2"],
+                 *map(_small, SMALL_COMMANDS)):
+        _refuses_config(argv, config, reason, tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("option, value, named", [
@@ -999,39 +1043,47 @@ def test_sweep_tau_refuses_an_exponent_without_a_finite_tau(exponent, tau,
     assert not out.exists()
 
 
-def test_bench_builds_each_problem_once(tmp_path, monkeypatch):
-    # one problem per (function, dimension, instance), shared by its
-    # algorithms and runs, as switch shares its problems across plans
+def _problems_built(monkeypatch, argv):
+    """The (f, d, i) of each problem ``argv`` builds, in order."""
     built = []
     real_instantiate = cli.instantiate
 
     def counting(pid, suite_seed):
-        built.append(pid)
+        built.append(astuple(pid))
         return real_instantiate(pid, suite_seed)
 
     monkeypatch.setattr(cli, "instantiate", counting)
-    assert main(["bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
-                 "--dims", "2", "--instances", "1,2", "--runs", "2",
-                 "--budget-mult", "50", "--out", str(tmp_path / "out")]) == 0
-    assert [astuple(pid) for pid in built] == [(1, 2, 1), (1, 2, 2)]
+    assert main(argv) == 0
+    return built
+
+
+def test_bench_builds_each_problem_once(tmp_path, monkeypatch):
+    # one problem per (function, dimension, instance), shared by its
+    # algorithms and runs, as switch shares its problems across plans
+    assert _problems_built(monkeypatch, [
+        "bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
+        "--dims", "2", "--instances", "1,2", "--runs", "2",
+        "--budget-mult", "50", "--out", str(tmp_path / "out")]) == \
+        [(1, 2, 1), (1, 2, 2)]
 
 
 def test_switch_builds_each_problem_once(tmp_path, monkeypatch):
     # three plans on one cell share its problems
-    built = []
-    real_instantiate = cli.instantiate
-
-    def counting(pid, suite_seed):
-        built.append(pid)
-        return real_instantiate(pid, suite_seed)
-
-    monkeypatch.setattr(cli, "instantiate", counting)
     plans = ["--plan", "BFGS:CMA-ES:1", "--plan", "CMA-ES:BFGS:1",
              "--plan", "BFGS:CMA-ES:1e-2"]
-    assert main(["switch", *plans, "--functions", "1", "--dims", "2",
-                 "--instances", "1,2", "--runs", "1", "--budget-mult", "50",
-                 "--out", str(tmp_path / "out")]) == 0
-    assert [astuple(pid) for pid in built] == [(1, 2, 1), (1, 2, 2)]
+    assert _problems_built(monkeypatch, [
+        "switch", *plans, "--functions", "1", "--dims", "2",
+        "--instances", "1,2", "--runs", "1", "--budget-mult", "50",
+        "--out", str(tmp_path / "out")]) == [(1, 2, 1), (1, 2, 2)]
+
+
+def test_sweep_tau_builds_each_problem_once(tmp_path, monkeypatch):
+    # every tau and run on one instance shares its problem
+    assert _problems_built(monkeypatch, [
+        "sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
+        "--dim", "2", "--tau-exponents", "1,0", "--instances", "1,2",
+        "--runs", "2", "--budget-mult", "50",
+        "--out", str(tmp_path / "out")]) == [(1, 2, 1), (1, 2, 2)]
 
 
 def test_a_dead_pool_process_fails_only_the_run_it_held(tmp_path, monkeypatch,
@@ -1073,6 +1125,45 @@ def test_a_dead_pool_process_fails_only_the_run_it_held(tmp_path, monkeypatch,
     assert f"BFGS F1 2D instance {instance} run {run}:" not in failed[0]
 
 
+def test_a_dead_pool_process_at_jobs_3_loses_no_run_unnamed(
+        tmp_path, monkeypatch, capsys):
+    # with two pool processes, the first to start its second run dies
+    # there; the broken pool may also fail the run its sibling held, and
+    # this process, held in its first run until then, runs the rest
+    parent, died = os.getpid(), tmp_path / "died"
+    runs_here = []  # a forked pool process counts in its own copy
+    real_run_single = cli.run_single
+
+    def dying(config, problem, **kwargs):
+        run = (problem.id.instance, kwargs["run_index"])
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 60
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        elif runs_here:
+            died.write_text("%d %d" % run)
+            os._exit(1)
+        runs_here.append(run)
+        return real_run_single(config, problem, **kwargs)
+
+    monkeypatch.setattr(cli, "run_single", dying)
+    out = tmp_path / "out"
+    assert main(["bench", "--algorithms", "BFGS", "--functions", "1",
+                 "--dims", "2", "--instances", "1-3", "--runs", "4",
+                 "--budget-mult", "50", "--jobs", "3",
+                 "--out", str(out)]) == 2
+    failed = {tuple(map(int, m.groups())): line for line in
+              capsys.readouterr().err.splitlines()
+              if (m := re.match(r"FAILED BFGS F1 2D instance (\d) run (\d):",
+                                line))}
+    assert all("terminated abruptly" in line for line in failed.values())
+    assert tuple(map(int, died.read_text().split())) in failed
+    records, _ = load_records(out / "runs.jsonl")
+    written = [(r["instance"], r["run_index"]) for r in records]
+    assert sorted([*written, *failed]) == \
+        [(i, r) for i in (1, 2, 3) for r in range(4)]
+
+
 @pytest.mark.parametrize("config, named", [
     ({"DE": {"crossover_rate": "0.5"}},
      "DE crossover_rate must be a number, got '0.5'"),
@@ -1102,7 +1193,7 @@ def test_a_setting_of_the_wrong_type_is_refused_by_name(command, config, named,
 
 @pytest.mark.parametrize("flag", [[], ["--no-early-switch"]])
 def test_switch_no_early_switch_reaches_the_runs(flag, tmp_path):
-    # the setup of _sweep_with_a_cmaes_a2_it_cannot_build: BFGS converges
+    # the setup of _sweep_whose_warm_start_fails: BFGS converges
     # on F10 2D above 10^-7.8 and hands over there only without the flag
     out = tmp_path / "switch"
     assert main(["switch", "--plan", "BFGS:CMA-ES:1.6e-8", "--functions",
@@ -1142,6 +1233,21 @@ def test_switch_from_analysis_runs_the_cells_selected(selection, ran,
                  "--out", str(out)]) == 0
     records, _ = load_records(out / "switch_runs.jsonl")
     assert sorted((r["function_id"], r["dimension"]) for r in records) == ran
+
+
+def test_switch_runs_the_analysis_cells_then_the_plan_cells(tmp_path):
+    analysis = _analysis_of_cells(tmp_path, [(1, 2), (8, 2)])
+    out = tmp_path / "switch"
+    assert main(["switch", "--from-analysis", str(analysis),
+                 "--plan", "BFGS:CMA-ES:1", "--functions", "1,8",
+                 "--dims", "2", "--runs", "1", "--instances", "1",
+                 "--budget-mult", "50", "--out", str(out)]) == 0
+    assert [(r["a1"], r["a2"], r["function_id"])
+            for r in _report_rows(out / "switch_report.tsv")] == [
+        ("BFGS", "PSO", "1"), ("BFGS", "PSO", "8"),
+        ("BFGS", "CMA-ES", "1"), ("BFGS", "CMA-ES", "8")]
+    records, _ = load_records(out / "switch_runs.jsonl")
+    assert len(records) == 4
 
 
 @pytest.mark.parametrize("selection", [
@@ -1201,16 +1307,11 @@ def test_switch_refuses_a_switch_log_as_its_static_log(command, log, label,
     ("BFGS", "gradient_tolerance", math.inf, "finite and >= 0"),
 ])
 def test_a_setting_out_of_its_range_fails_its_runs(algorithm, setting, value,
-                                                   rule, tmp_path, capsys):
-    # checked by name only, a DE crossover_rate of 7 used to run as 1
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({algorithm: {setting: value}}))
-    out = tmp_path / "out"
-    assert main(["bench", "--algorithms", algorithm, "--functions", "1",
-                 "--dims", "2", "--runs", "1", "--instances", "1",
-                 "--budget-mult", "50", "--config", str(cfg),
-                 "--out", str(out)]) == 2
-    failed = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("FAILED")]
-    assert failed == [f"FAILED {algorithm} F1 2D instance 1 run 0: "
-                      f"{algorithm} {setting} must be {rule}, got {value}"]
+                                                   rule, tmp_path, capsys,
+                                                   monkeypatch):
+    # checked by name only, a DE crossover_rate of 7 used to run as 1, and
+    # then failed each run; now no command runs one
+    for command in SMALL_COMMANDS:
+        _refuses_config(_small(command), {algorithm: {setting: value}},
+                        f"{algorithm} {setting} must be {rule}, got {value}",
+                        tmp_path, capsys, monkeypatch)
