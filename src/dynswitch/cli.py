@@ -181,7 +181,7 @@ def _problems(args, cells):
 
 
 def _bench_cell(seed, phi, task):
-    """Worker: one static run.  Top level so it pickles for the pool."""
+    """Worker: one static run.  Top level so it pickles for a worker."""
     config, problem, budget, run = task
     return run_single(
         config, problem, budget=budget, final_target=phi, run_index=run,
@@ -302,8 +302,9 @@ def _parse_plan(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"plan must look like A1:A2:TAU, got {text!r}")
-    return (canonical_algorithm(parts[0]), canonical_algorithm(parts[1]),
-            _number(parts[2]))
+    tau = _number(parts[2])
+    DEFAULT_GRID.snap_exponent(tau)  # refuses a TAU that is no precision
+    return canonical_algorithm(parts[0]), canonical_algorithm(parts[1]), tau
 
 
 def _analysis_plans(args):

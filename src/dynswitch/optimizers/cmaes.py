@@ -32,10 +32,12 @@ class Cmaes(Optimizer):
         lam = (default_population_size(dim) if population_size is None
                else population_size)
         if lam < 2:
-            raise ValueError(f"CMA-ES needs a population of at least 2, got {lam}")
+            raise ValueError(f"CMA-ES needs a population of at least 2, "
+                             f"got {lam} (population_size)")
         self.sigma = float(sigma)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+            raise ValueError(
+                f"CMA-ES sigma must be finite and positive, got {self.sigma}")
         if mean is None:
             mean = rng.uniform(0.0, 1.0, size=dim)
         self.mean = np.asarray(mean, dtype=float)

@@ -59,7 +59,8 @@ def resolve_population_size(dim, size=None):
     refused."""
     size = POPULATION_MULTIPLIER * dim if size is None else size
     if size < 4:
-        raise ValueError(f"DE needs a population of at least 4, got {size}")
+        raise ValueError(
+            f"DE needs a population of at least 4, got {size} (population_size)")
     return size
 
 

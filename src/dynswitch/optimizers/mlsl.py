@@ -75,7 +75,7 @@ class Mlsl(Optimizer):
             population_size = POPULATION_MULTIPLIER * dim
         if population_size < 1:
             raise ValueError(f"MLSL needs a population of at least 1, "
-                             f"got {population_size}")
+                             f"got {population_size} (population_size)")
         for name, value in (("reduced_fraction", reduced_fraction),
                             ("local_budget_fraction", local_budget_fraction)):
             if not 0 < value <= 1:
@@ -90,7 +90,6 @@ class Mlsl(Optimizer):
         self.sample_values = np.empty(0)
         self.started = set()           # indices local searches started from
         self.minima = []               # (point, value) found by local search
-        self.level = 0
 
     def step(self, ev):
         if self.finished:
@@ -100,7 +99,6 @@ class Mlsl(Optimizer):
         values = np.array([ev(x) for x in new])
         self.sample_points = np.vstack([self.sample_points, new])
         self.sample_values = np.concatenate([self.sample_values, values])
-        self.level += 1
         total = self.sample_points.shape[0]
         r_k = critical_distance(self.dim, total)
 

@@ -24,7 +24,7 @@ def resolve_swarm_size(size=None):
     refused."""
     size = SWARM_SIZE if size is None else size
     if size < 1:
-        raise ValueError(f"PSO needs a swarm of at least 1, got {size}")
+        raise ValueError(f"PSO needs a swarm of at least 1, got {size} (swarm_size)")
     return size
 
 

@@ -9,7 +9,6 @@ immediately at that point unless the plan's policy sets
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import hashlib
 from dataclasses import astuple, dataclass
@@ -131,12 +130,12 @@ def run_switch(
 def run_tasks(worker, tasks, jobs):
     """Apply ``worker`` to every task over ``jobs`` processes in all.
 
-    At ``jobs`` > 1 the calling process works beside a pool of ``jobs`` - 1
-    processes: each takes the next unclaimed task, in list order, from one
-    shared counter, and reports its outcome as soon as it finishes.  No
-    more processes run than there are tasks.  Returns (results, failures)
-    in task order; a task that raises, or dies with its pool process, is
-    reported as (task, message) and the batch continues.
+    At ``jobs`` > 1 the calling process works beside ``jobs`` - 1 worker
+    processes, each taking the next unclaimed task, in list order, from one
+    shared counter; no more processes run than there are tasks.  Returns
+    (results, failures) in task order; a task that raises, or dies with its
+    worker, is reported as (task, message) and the others run on.  An
+    exception out of the calling process (KeyboardInterrupt) stops them all.
     """
     jobs = min(jobs, len(tasks))
     if jobs > 1:
@@ -160,17 +159,6 @@ def _outcome(worker, task):
         return False, str(exc)
 
 
-# (worker, tasks, counter) in a pool process: an initializer is the one way
-# to hand a pool process a shared counter
-_batch = None
-
-
-def _join(worker, tasks, counter):
-    """Pool initializer: the batch this process takes its tasks from."""
-    global _batch
-    _batch = worker, tasks, counter
-
-
 def _claim(counter):
     """The index of the next unclaimed task."""
     with counter.get_lock():
@@ -178,51 +166,58 @@ def _claim(counter):
         return counter.value - 1
 
 
-def _run_next():
-    """Pool call: (index, outcome) of the next unclaimed task, or None
-    when every task is claimed."""
-    worker, tasks, counter = _batch
-    index = _claim(counter)
-    if index < len(tasks):
-        return index, _outcome(worker, tasks[index])
+def _work(worker, tasks, counter, sender):
+    """Worker process: send (index, outcome) of every task it claims."""
+    while (index := _claim(counter)) < len(tasks):
+        sender.send((index, _outcome(worker, tasks[index])))
 
 
 def _self_scheduled(worker, tasks, jobs):
-    """Outcomes of ``tasks`` in task order, from this process and a pool.
-
-    The pool is handed one call per task; a call claims its task only when
-    it starts, so the calls queued in the pool bind no task.  Each pool
-    process gets the batch once, through the initializer (a fork inherits
-    it), not a task per call.  A pool process that dies fails every task the
-    pool held, a live sibling's too; this process runs every unclaimed task.
-    """
-    import multiprocessing  # here: only a pool needs it, as for the executor
+    """Outcomes of ``tasks`` in task order, from this process and ``jobs``
+    - 1 workers.  A thread files what each worker sends until its pipe
+    closes; a task left with no outcome died with its worker, alone."""
+    import multiprocessing  # here: jobs 1 needs no process
+    import threading
+    from multiprocessing.connection import wait
 
     counter = multiprocessing.Value("q", 0)
-    outcomes = {}
-    with concurrent.futures.ProcessPoolExecutor(
-            jobs - 1, initializer=_join,
-            initargs=(worker, tasks, counter)) as pool:
-        calls = [pool.submit(_run_next) for _ in tasks]
+    outcomes, pipes, workers = {}, [], []
+
+    def collect():
+        while pipes:
+            for pipe in wait(pipes):
+                try:
+                    index, outcome = pipe.recv()
+                except (EOFError, OSError):  # its worker has exited
+                    pipes.remove(pipe)
+                    pipe.close()
+                else:
+                    outcomes[index] = outcome
+
+    try:
+        for _ in range(jobs - 1):
+            pipe, sender = multiprocessing.Pipe(duplex=False)
+            workers.append(multiprocessing.Process(
+                target=_work, args=(worker, tasks, counter, sender), daemon=True))
+            workers[-1].start()
+            sender.close()  # the worker's copy alone: EOF when it exits
+            pipes.append(pipe)
+        # started after the forks, so that no fork copies a running thread
+        collector = threading.Thread(target=collect, daemon=True)
+        collector.start()
         while (index := _claim(counter)) < len(tasks):
             outcomes[index] = _outcome(worker, tasks[index])
-        pool.shutdown(cancel_futures=True)
-    lost = None
-    for call in calls:
-        if call.cancelled():
-            continue
-        try:
-            claimed = call.result()
-        except Exception as exc:  # the pool broke: its claimed tasks are lost
-            lost = str(exc)
-        else:
-            if claimed is not None:
-                outcomes[claimed[0]] = claimed[1]
-    return [outcomes.get(i, (False, lost)) for i in range(len(tasks))]
+        collector.join()
+    finally:  # a no-op for workers whose pipes are closed
+        for process in workers:
+            process.terminate()
+            process.join()
+    died = False, "its worker process terminated abruptly"
+    return [outcomes.get(i, died) for i in range(len(tasks))]
 
 
 def _switch_task(seed, task):
-    """Worker: one switch run.  Top level so it pickles for the pool."""
+    """Worker: one switch run.  Top level so it pickles for a worker."""
     plan, problem, budget, run = task
     a1_seed = cell_seed(seed, plan.a1.algorithm, *astuple(problem.id), run)
     return run_switch(plan, problem, budget=budget, seed=a1_seed,

@@ -18,6 +18,7 @@ import dynswitch
 from dynswitch import cli, switching
 from dynswitch.analysis import VbsReport, vbs_table
 from dynswitch.cli import cell_seed, main
+from dynswitch.optimizers import ALGORITHMS, OptimizerConfig
 from dynswitch.tracing import (DEFAULT_GRID, RunTrace, load_records,
                                record_to_json)
 
@@ -784,6 +785,11 @@ SMALL_COMMANDS = {
     ("switch", "--plan", "foo:BFGS:1", "unknown algorithm 'foo'"),
     ("switch", "--plan", "BFGS:CMA-ES:x", "--plan: not a number: 'x'"),
     ("switch", "--plan", "BFGS:CMA-ES", "plan must look like A1:A2:TAU"),
+    # a TAU that is no precision used to be refused after parsing, by no flag
+    *(("switch", "--plan", f"BFGS:CMA-ES:{tau}",
+       f"--plan: precision targets must be positive and finite, got {got}")
+      for tau, got in (("0", "0.0"), ("nan", "nan"), ("inf", "inf"),
+                       ("-1", "-1.0"))),
     ("bench", "--phi", "0", "--phi: precision targets must be positive"),
     ("bench", "--phi", "nan",
      "--phi: precision targets must be positive and finite, got nan"),
@@ -1125,25 +1131,41 @@ def test_a_dead_pool_process_fails_only_the_run_it_held(tmp_path, monkeypatch,
     assert f"BFGS F1 2D instance {instance} run {run}:" not in failed[0]
 
 
+def _wait_for(condition):
+    deadline = time.monotonic() + 60
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def test_a_dead_pool_process_at_jobs_3_loses_no_run_unnamed(
         tmp_path, monkeypatch, capsys):
-    # with two pool processes, the first to start its second run dies
-    # there; the broken pool may also fail the run its sibling held, and
-    # this process, held in its first run until then, runs the rest
-    parent, died = os.getpid(), tmp_path / "died"
-    runs_here = []  # a forked pool process counts in its own copy
+    # the first worker to start a run dies in its second, while this
+    # process and the other worker are each held in a run: only the run it
+    # died in fails, and the other worker runs on beside this process
+    parent, died, later = os.getpid(), tmp_path / "died", tmp_path / "later"
+    role = []  # a forked worker keeps its own copy
     real_run_single = cli.run_single
 
     def dying(config, problem, **kwargs):
         run = (problem.id.instance, kwargs["run_index"])
-        if os.getpid() == parent:
-            deadline = time.monotonic() + 60
-            while not died.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-        elif runs_here:
+        if role == ["dies"]:
+            _wait_for(lambda: len(list(tmp_path.glob("held-*"))) == 2)
             died.write_text("%d %d" % run)
             os._exit(1)
-        runs_here.append(run)
+        if role:
+            with open(later, "a") as fh:  # a run started after the death
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(0.05)  # so that both survivors share the rest
+        else:
+            try:
+                if os.getpid() == parent:
+                    raise FileExistsError
+                os.close(os.open(tmp_path / "dier", os.O_CREAT | os.O_EXCL))
+                role.append("dies")
+            except FileExistsError:
+                role.append("held")
+                (tmp_path / f"held-{os.getpid()}").touch()
+                _wait_for(died.exists)
         return real_run_single(config, problem, **kwargs)
 
     monkeypatch.setattr(cli, "run_single", dying)
@@ -1152,16 +1174,16 @@ def test_a_dead_pool_process_at_jobs_3_loses_no_run_unnamed(
                  "--dims", "2", "--instances", "1-3", "--runs", "4",
                  "--budget-mult", "50", "--jobs", "3",
                  "--out", str(out)]) == 2
-    failed = {tuple(map(int, m.groups())): line for line in
-              capsys.readouterr().err.splitlines()
-              if (m := re.match(r"FAILED BFGS F1 2D instance (\d) run (\d):",
-                                line))}
-    assert all("terminated abruptly" in line for line in failed.values())
-    assert tuple(map(int, died.read_text().split())) in failed
+    [failed] = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("FAILED")]
+    instance, run = map(int, died.read_text().split())
+    assert failed.startswith(f"FAILED BFGS F1 2D instance {instance} run "
+                             f"{run}:") and "terminated abruptly" in failed
     records, _ = load_records(out / "runs.jsonl")
-    written = [(r["instance"], r["run_index"]) for r in records]
-    assert sorted([*written, *failed]) == \
-        [(i, r) for i in (1, 2, 3) for r in range(4)]
+    assert sorted((r["instance"], r["run_index"]) for r in records) == [
+        (i, r) for i in (1, 2, 3) for r in range(4) if (i, r) != (instance, run)]
+    [survivor] = {int(p.name[5:]) for p in tmp_path.glob("held-*")} - {parent}
+    assert str(survivor) in later.read_text().split()
 
 
 @pytest.mark.parametrize("config, named", [
@@ -1315,3 +1337,15 @@ def test_a_setting_out_of_its_range_fails_its_runs(algorithm, setting, value,
         _refuses_config(_small(command), {algorithm: {setting: value}},
                         f"{algorithm} {setting} must be {rule}, got {value}",
                         tmp_path, capsys, monkeypatch)
+
+
+def test_every_range_refusal_names_its_algorithm_and_setting():
+    # the size refusals named no setting, and CMA-ES's sigma no algorithm
+    for algorithm in ALGORITHMS:
+        with pytest.raises(ValueError, match="it takes ") as listing:
+            OptimizerConfig(algorithm, {"no_such_setting": 1})
+        for setting in str(listing.value).split("it takes ")[1].split(", "):
+            with pytest.raises(ValueError) as refusal:
+                OptimizerConfig(algorithm, {setting: -1})
+            assert str(refusal.value).startswith(f"{algorithm} ")
+            assert setting in str(refusal.value), refusal.value

@@ -1,7 +1,11 @@
-import concurrent.futures
 import functools
+import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,21 +187,20 @@ def test_run_tasks_keeps_task_order_in_a_pool():
 
 def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
     started = []
+    real_start = multiprocessing.Process.start
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            super().__init__(max_workers, initializer=initializer,
-                             initargs=initargs)
+    def counting_start(process):
+        started[-1] += 1
+        real_start(process)
 
-    monkeypatch.setattr(switching.concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    assert run_tasks(abs, [-1, -2, -3], jobs=8) == ([1, 2, 3], [])
-    assert run_tasks(abs, [-1, -2, -3], jobs=2) == ([1, 2, 3], [])
-    assert run_tasks(abs, [-4], jobs=8) == ([4], [])
-    assert run_tasks(abs, [], jobs=8) == ([], [])
-    # the calling process is one of the jobs: 3 and 2 processes for 3 tasks
-    assert started == [2, 1]
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    for tasks, jobs in (([-1, -2, -3], 8), ([-1, -2, -3], 2), ([-4], 8),
+                        ([], 8)):
+        started.append(0)
+        assert run_tasks(abs, tasks, jobs) == ([abs(t) for t in tasks], [])
+    # the calling process is one of the jobs: 3 and 2 processes for 3 tasks,
+    # and it runs 1 task or none alone
+    assert started == [2, 1, 0, 0]
 
 
 def _pid_after_a_nap(task):
@@ -227,3 +230,60 @@ def test_run_tasks_runs_jobs_processes_in_all():
     pids, failures = run_tasks(_pid_after_a_nap, list(range(6)), jobs=2)
     assert failures == [] and len(pids) == 6
     assert os.getpid() in pids and len(set(pids)) <= 2
+
+
+def _interrupted_here(parent, task):
+    # the calling process is interrupted in its first task, while each
+    # worker is in the middle of one of 12 tasks of 0.5 s
+    if os.getpid() == parent:
+        time.sleep(0.1)
+        raise KeyboardInterrupt
+    time.sleep(0.5)
+    return task
+
+
+def test_an_interrupt_in_the_calling_process_stops_the_workers():
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_tasks(functools.partial(_interrupted_here, os.getpid()),
+                  list(range(12)), jobs=3)
+    # the workers are stopped, not left to run the rest of the batch
+    assert time.monotonic() - start < 1.0
+    assert multiprocessing.active_children() == []
+
+
+START_METHOD_SCRIPT = """
+import functools, json, math, multiprocessing, sys
+from dynswitch.optimizers import OptimizerConfig
+from dynswitch.problems import ProblemId, instantiate
+from dynswitch.switching import SwitchPlan, _switch_task, run_tasks
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    plan = SwitchPlan(a1=OptimizerConfig("BFGS"), a2=OptimizerConfig("CMA-ES"),
+                      tau=1e-2)
+    tasks = [(plan, instantiate(ProblemId(1, 2, i), 0), 200, run)
+             for i in (1, 2) for run in range(2)]
+    print(json.dumps([
+        [run_tasks(functools.partial(_switch_task, 7), tasks, jobs),
+         run_tasks(math.sqrt, [4.0, -1.0, 9.0, -4.0, 16.0], jobs)]
+        for jobs in (1, 3)]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_run_tasks_under_each_start_method(method, tmp_path):
+    # the workers get the batch by pickling there, not as a fork's copy
+    script = tmp_path / "start_method.py"
+    script.write_text(START_METHOD_SCRIPT)
+    src = str(Path(switching.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, str(script), method], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    serial, pooled = json.loads(done.stdout)
+    assert pooled == serial
+    records, failures = serial[0]
+    assert len(records) == 4 and failures == []
+    assert serial[1][1] == [[-1.0, "math domain error"],
+                            [-4.0, "math domain error"]]
