@@ -10,7 +10,6 @@ raised by a converter (see ``_arg``), ``main`` prints any other; both exit 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -109,26 +108,19 @@ def _positive(text):
     return value
 
 
-def _tau(exponent):
-    """10 ** float(exponent); a ValueError naming ``exponent`` unless that
-    is a positive, finite precision."""
-    try:
-        tau = 10.0 ** float(exponent)
-    except OverflowError:
-        tau = math.inf
-    try:
-        DEFAULT_GRID.snap_exponent(tau)
-    except ValueError as exc:
-        raise ValueError(f"tau exponent {exponent!r}: {exc}") from None
-    return tau
-
-
 def _tau_exponents(text):
     """--tau-exponents: each 10**e must be a positive, finite precision."""
     out = []
     for chunk in text.split(","):
         out.append(_number(chunk))
-        _tau(chunk)
+        try:
+            tau = 10.0 ** out[-1]
+        except OverflowError:
+            tau = math.inf
+        try:
+            DEFAULT_GRID.snap_exponent(tau)
+        except ValueError as exc:
+            raise ValueError(f"tau exponent {chunk!r}: {exc}") from None
     return out
 
 
@@ -299,80 +291,84 @@ def cmd_analyze(args):
 
 
 def _parse_plan(text):
+    """``vbs``, or (a1, a2, tau) of an A1:A2:TAU."""
+    if text == "vbs":
+        return text
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"plan must look like A1:A2:TAU, got {text!r}")
+        raise ValueError(f"plan must look like A1:A2:TAU or be vbs, "
+                         f"got {text!r}")
     tau = _number(parts[2])
     DEFAULT_GRID.snap_exponent(tau)  # refuses a TAU that is no precision
     return canonical_algorithm(parts[0]), canonical_algorithm(parts[1]), tau
 
 
-def _analysis_plans(args):
-    """Plan cells (a1, a2, tau, f, d) of the --from-analysis cells whose
-    dynamic virtual best switches, and that --functions and --dims list."""
-    vbs_path = Path(args.from_analysis) / "vbs_report.tsv"
-    if not vbs_path.exists():
-        raise ValueError(f"no analysis artifacts at {vbs_path}")
-    # the VBS pairs and their tau were chosen for the analysis's phi
-    manifest_path = vbs_path.with_name("manifest.json")
-    analysis_phi = "unknown (no manifest.json)"
-    if manifest_path.exists():
-        analysis_phi = json.loads(manifest_path.read_text()).get("phi")
-    if analysis_phi != args.phi:
-        raise ValueError(f"the analysis at {args.from_analysis} is for "
-                         f"phi {analysis_phi}, not {args.phi:g}: rerun "
-                         f"`dynswitch analyze --phi {args.phi:g}`")
-    with open(vbs_path, newline="") as fh:
-        rows = csv.DictReader(fh, delimiter="\t")
-        missing = [name for name in vbs_table([])[0]
-                   if name not in (rows.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{vbs_path} lacks the columns "
-                             f"{', '.join(missing)}: rerun `dynswitch analyze`")
-        try:
-            cells = [(canonical_algorithm(row["dyn_a1"]),
-                      canonical_algorithm(row["dyn_a2"]),
-                      _tau(row["dyn_tau_exponent"]), int(row["function_id"]),
-                      int(row["dimension"])) for row in rows
-                     if row["dyn_a1"] != row["dyn_a2"] and row["dyn_tau_exponent"]]
-        except ValueError as exc:
-            raise ValueError(f"{vbs_path} line {rows.line_num}: {exc}") from None
-    return [(a1, a2, tau, f, d) for a1, a2, tau, f, d in cells
-            if (not args.functions or f in args.functions)
-            and (not args.dims or d in args.dims)]
+def _plan_cells(args, static_tables):
+    """Plan cells (a1, a2, tau, f, d) in --plan order: an A1:A2:TAU on each
+    --functions x --dims cell, vbs on each cell of ``static_tables`` whose
+    dynamic virtual best at --phi switches, and that --functions and --dims
+    list when they are given."""
+    cells = []
+    for plan in args.plan or ():
+        if plan != "vbs":
+            if not args.functions or not args.dims:
+                raise ValueError("--plan needs --functions and --dims")
+            cells += [(*plan, f, d) for f in args.functions for d in args.dims]
+        elif static_tables is None:
+            raise ValueError("--plan vbs needs --logs, the static log whose "
+                             "virtual best it runs")
+        else:
+            cells += [
+                (canonical_algorithm(r.dyn_a1), canonical_algorithm(r.dyn_a2),
+                 10.0 ** r.dyn_tau_exponent, r.function_id, r.dimension)
+                for r in build_vbs_reports(
+                    static_tables, DEFAULT_GRID.snap_exponent(args.phi))
+                if r.dyn_a1 != r.dyn_a2
+                and (not args.functions or r.function_id in args.functions)
+                and (not args.dims or r.dimension in args.dims)]
+    return cells
 
 
-def _listed_plans(args):
-    """Plan cells (a1, a2, tau, f, d): each --plan on each listed cell."""
-    if not args.functions or not args.dims:
-        raise ValueError("--plan needs --functions and --dims")
-    return [(a1, a2, tau, f, d) for a1, a2, tau in args.plan
-            for f in args.functions for d in args.dims]
+def _static_records(args):
+    """Records of the static log --logs; a ValueError if they cannot stand
+    beside this switch's runs: one is a switch run, or the manifest.json
+    beside the log (when there is one) gives a phi above --phi or another
+    suite seed."""
+    records = _read_log(args.logs)
+    # the report would read a switch run as a static run
+    for rec in records:
+        if "switch_eval" in rec:
+            a, f, d, i, r = _run_key(rec)
+            raise ValueError(f"--logs {args.logs} holds the switch run {a} "
+                             f"F{f} {d}D instance {i} run {r}: give it a "
+                             f"bench log")
+    path = Path(args.logs)
+    path = (path if path.is_dir() else path.parent) / "manifest.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {}
+    # a run stopped at a coarser phi reads as a failure at this one
+    if manifest.get("phi", args.phi) > args.phi:
+        raise ValueError(f"{path} gives phi {manifest['phi']:g}, above "
+                         f"--phi {args.phi:g}: its runs stopped short of it")
+    if manifest.get("suite_seed", args.suite_seed) != args.suite_seed:
+        raise ValueError(f"{path} gives suite_seed {manifest['suite_seed']}, "
+                         f"not --suite-seed {args.suite_seed}: its runs are "
+                         f"on other problem instances")
+    return records
 
 
 def cmd_switch(args):
-    plan_cells = [*(_analysis_plans(args) if args.from_analysis else ()),
-                  *(_listed_plans(args) if args.plan else ())]
     # the static log is read before any run, so a bad path fails at once
-    static_tables = None
-    if args.logs:
-        static_records = _read_log(args.logs)
-        # the report would read a switch run as a static run
-        for rec in static_records:
-            if "switch_eval" in rec:
-                a, f, d, i, r = _run_key(rec)
-                raise ValueError(f"--logs {args.logs} holds the switch run {a} "
-                                 f"F{f} {d}D instance {i} run {r}: give it a "
-                                 f"bench log")
-        # static and actual ERT are only comparable at the same budget
-        planned = {(f, d) for *_, f, d in plan_cells}
-        for f, d, budget in sorted({(r["function_id"], r["dimension"],
-                                     r["budget"]) for r in static_records}):
-            if (f, d) in planned and budget != args.budget_mult * d:
-                raise ValueError(f"static log has budget {budget} for F{f} "
-                                 f"{d}D, but --budget-mult {args.budget_mult} "
-                                 f"gives {args.budget_mult * d}")
-        static_tables = build_ert_tables(static_records)
+    static_records = _static_records(args) if args.logs else []
+    static_tables = build_ert_tables(static_records) if args.logs else None
+    plan_cells = _plan_cells(args, static_tables)
+    # static and actual ERT are only comparable at the same budget
+    planned = {(f, d) for *_, f, d in plan_cells}
+    for f, d, budget in sorted({(r["function_id"], r["dimension"],
+                                 r["budget"]) for r in static_records}):
+        if (f, d) in planned and budget != args.budget_mult * d:
+            raise ValueError(f"static log has budget {budget} for F{f} "
+                             f"{d}D, but --budget-mult {args.budget_mult} "
+                             f"gives {args.budget_mult * d}")
 
     configs = _optimizer_configs(
         args, {a for a1, a2, *_ in plan_cells for a in (a1, a2)})
@@ -468,9 +464,8 @@ def build_parser():
 
     p = sub.add_parser("switch", help="execute dynamic switch plans")
     p.add_argument("--plan", action="append", type=_arg(_parse_plan),
-                   help="A1:A2:TAU, repeatable")
-    p.add_argument("--from-analysis",
-                   help="directory with vbs_report.tsv")
+                   help="A1:A2:TAU, or vbs: the dynamic virtual best of "
+                        "each --logs cell; repeatable, run in order")
     p.add_argument("--logs", help="static run log for the comparison report")
     p.add_argument("--functions", type=functions)
     p.add_argument("--dims", type=dims)

@@ -1,8 +1,10 @@
 import argparse
 import collections
-import dataclasses
+import contextlib
+import functools
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -16,9 +18,9 @@ import pytest
 
 import dynswitch
 from dynswitch import cli, switching
-from dynswitch.analysis import VbsReport, vbs_table
 from dynswitch.cli import cell_seed, main
 from dynswitch.optimizers import ALGORITHMS, OptimizerConfig
+from dynswitch.problems import ProblemId, instantiate
 from dynswitch.tracing import (DEFAULT_GRID, RunTrace, load_records,
                                record_to_json)
 
@@ -216,174 +218,123 @@ def _report_rows(path):
     return [dict(zip(header, line.split("\t"))) for line in lines[1:]]
 
 
-def test_switch_from_analysis(analysis_dir, tmp_path):
-    out = tmp_path / "switch2"
-    code = main([
-        "switch", "--from-analysis", str(analysis_dir), *TWO_BY_THREE,
-        "--budget-mult", "2000", "--out", str(out),
-    ])
-    # the fixture's analysis always picks a dynamic pair somewhere
-    assert code == 0
-    dynamic = {(r["function_id"], r["dimension"])
-               for r in _report_rows(analysis_dir / "vbs_report.tsv")
-               if r["dyn_a1"] != r["dyn_a2"] and r["dyn_tau_exponent"]}
-    report = _report_rows(out / "switch_report.tsv")
-    assert dynamic and len(report) == len(dynamic)
-    assert {(r["function_id"], r["dimension"]) for r in report} == dynamic
+def _small_bench(out, *options):
+    """A bench of BFGS and CMA-ES on F1 2D, one run, budget 1000."""
+    assert main(["bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
+                 "--dims", "2", "--runs", "1", "--instances", "1",
+                 "--budget-mult", "500", *options, "--out", str(out)]) == 0
 
 
-def test_switch_from_analysis_reads_static_log_directory(
-        bench_dir, analysis_dir, tmp_path):
-    rows = _report_rows(analysis_dir / "vbs_report.tsv")
-    assert any(r["dyn_a1"] != r["dyn_a2"] for r in rows)  # something to run
+def test_switch_from_analysis(bench_dir, analysis_dir, tmp_path):
+    # --plan vbs runs the cells where analyze's dynamic virtual best of the
+    # same log at the same phi switches, and reports the theoretical ERT it
+    # picked them by
+    analysis_2 = tmp_path / "analysis"
+    assert main(["analyze", "--logs", str(bench_dir), "--phi", "1e-2",
+                 "--out", str(analysis_2)]) == 0
+    for phi, analysis in (("1e-8", analysis_dir), ("1e-2", analysis_2)):
+        out = tmp_path / f"switch{phi}"
+        assert main(["switch", "--plan", "vbs", "--phi", phi, "--logs",
+                     str(bench_dir / "runs.jsonl"), *TWO_BY_THREE,
+                     "--budget-mult", "2000", "--out", str(out)]) == 0
+        dynamic = [(r["dyn_a1"], r["dyn_a2"], r["dyn_tau_exponent"],
+                    r["function_id"], r["dimension"], r["dyn_theoretical_ert"])
+                   for r in _report_rows(analysis / "vbs_report.tsv")
+                   if r["dyn_a1"] != r["dyn_a2"]]
+        ran = [(r["a1"], r["a2"], r["tau"], r["function_id"], r["dimension"],
+                r["theoretical_ert"])
+               for r in _report_rows(out / "switch_report.tsv")]
+        # the fixture's log always has a virtual best that switches
+        assert dynamic and [
+            (a1, a2, str(DEFAULT_GRID.snap_exponent(float(tau))), *cell)
+            for a1, a2, tau, *cell in ran] == dynamic
+
+
+def test_switch_from_analysis_reads_static_log_directory(bench_dir,
+                                                         tmp_path):
     out = tmp_path / "switch3"
     code = main([
-        "switch", "--from-analysis", str(analysis_dir), "--logs",
-        str(bench_dir), *TWO_BY_THREE, "--budget-mult", "2000",
-        "--out", str(out),
+        "switch", "--plan", "vbs", "--logs", str(bench_dir), *TWO_BY_THREE,
+        "--budget-mult", "2000", "--out", str(out),
     ])
     assert code == 0
     report = _report_rows(out / "switch_report.tsv")
     assert report and all(r["static_ert"] != "" for r in report)
 
 
-def test_switch_from_analysis_refuses_another_phi(bench_dir, tmp_path, capsys):
-    # the VBS pairs and tau of an analysis at 1e-2 are not the ones for 1e-8
-    analysis = tmp_path / "analysis"
-    assert main(["analyze", "--logs", str(bench_dir), "--phi", "1e-2",
-                 "--out", str(analysis)]) == 0
-    assert json.loads((analysis / "manifest.json").read_text())["phi"] == 1e-2
+def test_switch_from_analysis_refuses_another_phi(tmp_path, capsys):
+    # the virtual best of runs stopped at 1e-2 is not the one for 1e-8
+    static = tmp_path / "static"
+    _small_bench(static, "--phi", "1e-2")
     capsys.readouterr()
     out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), *TWO_BY_THREE,
-                 "--budget-mult", "2000", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "phi 0.01, not 1e-08" in err
-    assert "rerun `dynswitch analyze --phi 1e-08`" in err
+    assert main(["switch", "--plan", "vbs", "--logs", str(static),
+                 "--runs", "1", "--instances", "1", "--budget-mult", "500",
+                 "--out", str(out)]) == 1
+    assert (f"{static / 'manifest.json'} gives phi 0.01, above --phi 1e-08"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
-def test_switch_from_analysis_refuses_analysis_without_manifest(
-        bench_dir, tmp_path, capsys):
-    analysis = tmp_path / "analysis"
-    assert main(["analyze", "--logs", str(bench_dir),
-                 "--out", str(analysis)]) == 0
-    (analysis / "manifest.json").unlink(missing_ok=True)
+@pytest.mark.parametrize("option, value, logs, named", [
+    ("--phi", "1e-2", "static",
+     "gives phi 0.01, above --phi 1e-08: its runs stopped short of it"),
+    ("--suite-seed", "5", "static/runs.jsonl",
+     "gives suite_seed 5, not --suite-seed 0: its runs are on other problem "
+     "instances"),
+])
+def test_switch_refuses_a_static_log_of_a_coarser_phi_or_another_suite(
+        option, value, logs, named, tmp_path, capsys):
+    # both used to run: the static runs stopped at 1e-2 read as failures at
+    # 1e-8, and the theoretical ERT came from other problem instances
+    _small_bench(tmp_path / "static", option, value)
+    switch = ["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "1",
+              "--dims", "2", "--runs", "1", "--instances", "1",
+              "--budget-mult", "500", "--logs", str(tmp_path / logs)]
     capsys.readouterr()
     out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), *TWO_BY_THREE,
-                 "--budget-mult", "2000", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "no manifest.json" in err and "rerun `dynswitch analyze" in err
+    assert main([*switch, "--out", str(out)]) == 1
+    assert (f"error: {tmp_path / 'static' / 'manifest.json'} {named}"
+            in capsys.readouterr().err)
     assert not out.exists()
+    # the manifest's own setting is accepted
+    assert main([*switch, option, value, "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("dropped", [
-    ("dyn_a1", "dyn_a2", "dyn_tau_exponent"), ("function_id", "dimension"),
-])
-def test_switch_from_analysis_refuses_missing_columns(
-        dropped, analysis_dir, tmp_path, capsys):
-    analysis = tmp_path / "analysis"
-    analysis.mkdir()
-    (analysis / "manifest.json").write_bytes(
-        (analysis_dir / "manifest.json").read_bytes())
-    rows = [line.split("\t") for line in
-            (analysis_dir / "vbs_report.tsv").read_text().splitlines()]
-    kept = [i for i, name in enumerate(rows[0]) if name not in dropped]
-    (analysis / "vbs_report.tsv").write_text(
-        "".join("\t".join(row[i] for i in kept) + "\n" for row in rows))
+def test_switch_plan_vbs_refuses_an_unknown_label(bench_dir, tmp_path, capsys):
+    # a virtual best no algorithm answers to cannot run
+    log = tmp_path / "runs.jsonl"
+    log.write_text((bench_dir / "runs.jsonl").read_text().replace(
+        '"CMA-ES"', '"FOO"'))
     out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), *TWO_BY_THREE,
-                 "--budget-mult", "2000", "--out", str(out)]) == 1
-    assert f"lacks the columns {', '.join(dropped)}" in \
-        capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_switch_from_analysis_reads_back_the_vbs_table(tmp_path, monkeypatch):
-    # vbs_report.tsv as analyze writes it, with an identity pair (no tau)
-    reports = [
-        VbsReport(1, 2, "BFGS", 40.0, "PSO", "BFGS", 1.2, 30.0, 0.25),
-        VbsReport(8, 3, "CMA-ES", 90.0, "CMA-ES", "CMA-ES", None, 90.0, 0.0),
-        VbsReport(10, 2, "BFGS", math.inf, "CMA-ES", "BFGS", -2.2, 500.0,
-                  math.inf),
-    ]
-    analysis = tmp_path / "analysis"
-    cli._write_table(analysis / "vbs_report.tsv", *vbs_table(reports))
-    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
-    read = []
-
-    def no_runs(tasks, *args):
-        read.extend((plan.a1.algorithm, plan.a2.algorithm, plan.tau_exponent,
-                     problem.id.function_id, problem.id.dimension)
-                    for plan, problem, *_ in tasks)
-        return [], []
-
-    monkeypatch.setattr(cli, "run_switch_tasks", no_runs)
-    assert main(["switch", "--from-analysis", str(analysis), "--runs", "1",
-                 "--instances", "1", "--budget-mult", "50",
-                 "--out", str(tmp_path / "switch")]) == 0
-    assert read == [(r.dyn_a1, r.dyn_a2, r.dyn_tau_exponent, r.function_id,
-                     r.dimension) for r in reports if r.dyn_a1 != r.dyn_a2]
-
-
-@pytest.mark.parametrize("exponent, tau", [("400", "inf"), ("-400", "0.0")])
-def test_switch_from_analysis_refuses_an_exponent_without_a_finite_tau(
-        exponent, tau, tmp_path, capsys):
-    # 10.0 ** 400 used to end in an OverflowError traceback
-    analysis = tmp_path / "analysis"
-    cli._write_table(analysis / "vbs_report.tsv", *vbs_table([
-        VbsReport(1, 2, "BFGS", 40.0, "PSO", "BFGS", exponent, 30.0, 0.25)]))
-    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
-    out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), "--runs", "1",
-                 "--instances", "1", "--budget-mult", "50",
+    assert main(["switch", "--plan", "vbs", "--logs", str(log), "--runs", "1",
+                 "--instances", "1", "--budget-mult", "2000",
                  "--out", str(out)]) == 1
-    assert (f"tau exponent '{exponent}': precision targets must be positive "
-            f"and finite, got {tau}" in capsys.readouterr().err)
+    assert "error: unknown algorithm 'FOO'" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value, reason", [
-    ("function_id", "x", "invalid literal for int() with base 10: 'x'"),
-    ("dyn_a1", "FOO", "unknown algorithm 'FOO'"),
-])
-def test_switch_from_analysis_names_the_row_it_cannot_read(
-        field, value, reason, tmp_path, capsys):
-    # the message used to name neither the file nor the row
-    good = VbsReport(1, 2, "BFGS", 40.0, "BFGS", "PSO", 0.0, 30.0, 0.25)
-    bad = dataclasses.replace(good, dimension=3, **{field: value})
-    path = tmp_path / "analysis" / "vbs_report.tsv"
-    cli._write_table(path, *vbs_table([good, bad]))
-    path.with_name("manifest.json").write_text(json.dumps({"phi": 1e-8}))
-    out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(path.parent), "--runs", "1",
-                 "--instances", "1", "--budget-mult", "50",
-                 "--out", str(out)]) == 1
-    assert f"error: {path} line 3: {reason}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_switch_from_analysis_applies_the_config_to_an_alias(tmp_path,
-                                                             monkeypatch):
-    # a hand-written "cmaes" used to run CMA-ES without its --config
-    analysis = tmp_path / "analysis"
-    cli._write_table(analysis / "vbs_report.tsv", *vbs_table([
-        VbsReport(1, 2, "BFGS", 40.0, "cmaes", "BFGS", 0.0, 30.0, 0.25)]))
-    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
+def test_switch_from_analysis_applies_the_config_to_an_alias(
+        bench_dir, tmp_path, monkeypatch):
+    # a hand-edited "cmaes" label used to run CMA-ES without its --config
+    log = tmp_path / "runs.jsonl"
+    log.write_text((bench_dir / "runs.jsonl").read_text().replace(
+        '"CMA-ES"', '"cmaes"'))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"CMA-ES": {"population_size": 12}}))
     planned = []
 
     def no_runs(tasks, *args):
-        planned.extend(plan.a1 for plan, *_ in tasks)
+        planned.extend(config for plan, *_ in tasks
+                       for config in (plan.a1, plan.a2)
+                       if config.algorithm == "CMA-ES")
         return [], []
 
     monkeypatch.setattr(cli, "run_switch_tasks", no_runs)
-    assert main(["switch", "--from-analysis", str(analysis), "--runs", "1",
-                 "--instances", "1", "--budget-mult", "50", "--config",
+    assert main(["switch", "--plan", "vbs", "--logs", str(log), "--runs", "1",
+                 "--instances", "1", "--budget-mult", "2000", "--config",
                  str(cfg), "--out", str(tmp_path / "switch")]) == 0
-    assert [a1.overrides for a1 in planned] == [{"population_size": 12}]
+    assert [c.overrides for c in planned] == [{"population_size": 12}]
 
 
 def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
@@ -400,11 +351,7 @@ def test_switch_missing_static_log_fails_before_running(tmp_path, capsys):
 
 def test_switch_refuses_static_log_of_another_budget(tmp_path, capsys):
     static = tmp_path / "static"
-    assert main([
-        "bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1",
-        "--dims", "2", "--runs", "1", "--instances", "1",
-        "--budget-mult", "500", "--out", str(static),
-    ]) == 0
+    _small_bench(static)
     out = tmp_path / "switch"
     code = main([
         "switch", "--plan", "BFGS:CMA-ES:1e-2", "--functions", "1",
@@ -810,7 +757,7 @@ def test_usage_errors_name_the_bad_value(command, option, value, named,
 
 @pytest.mark.parametrize("argv, named", [
     (["switch", "--plan", "BFGS:CMA-ES:1"], "--plan needs --functions and --dims"),
-    (["switch", "--from-analysis", "missing"], "no analysis artifacts at"),
+    (["switch", "--plan", "vbs"], "--plan vbs needs --logs"),
     (["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "1", "--dims", "2",
       "--logs", "missing"], "no run log at"),
     (["analyze", "--logs", "missing"], "no run log at"),
@@ -1092,43 +1039,24 @@ def test_sweep_tau_builds_each_problem_once(tmp_path, monkeypatch):
         "--out", str(tmp_path / "out")]) == [(1, 2, 1), (1, 2, 2)]
 
 
-def test_a_dead_pool_process_fails_only_the_run_it_held(tmp_path, monkeypatch,
-                                                       capsys):
-    # at --jobs 2 the pool has one process: it finishes a run, then dies
-    # in its second while this process waits in its first
-    parent, died, finished = os.getpid(), tmp_path / "died", tmp_path / "done"
-    runs_here = []  # a forked pool process counts in its own copy
+def test_bench_names_each_failed_run(tmp_path, monkeypatch, capsys):
     real_run_single = cli.run_single
 
-    def dying(config, problem, **kwargs):
-        if os.getpid() == parent:
-            deadline = time.monotonic() + 60
-            while not died.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-        elif runs_here:
-            died.touch()
-            os._exit(1)
-        runs_here.append(kwargs["run_index"])
-        trace = real_run_single(config, problem, **kwargs)
-        if os.getpid() != parent:
-            finished.write_text(f"{problem.id.instance} {kwargs['run_index']}")
-        return trace
+    def failing(config, problem, **kwargs):
+        if (problem.id.instance, kwargs["run_index"]) == (2, 1):
+            raise RuntimeError("boom")
+        return real_run_single(config, problem, **kwargs)
 
-    monkeypatch.setattr(cli, "run_single", dying)
+    monkeypatch.setattr(cli, "run_single", failing)  # --jobs 1: no worker
     out = tmp_path / "out"
     assert main(["bench", "--algorithms", "BFGS", "--functions", "1",
                  "--dims", "2", "--instances", "1,2", "--runs", "2",
-                 "--budget-mult", "50", "--jobs", "2",
-                 "--out", str(out)]) == 2
-    failed = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("FAILED")]
-    assert len(failed) == 1 and "terminated abruptly" in failed[0], failed
+                 "--budget-mult", "50", "--out", str(out)]) == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("FAILED")] == [
+        "FAILED BFGS F1 2D instance 2 run 1: boom"]
     records, _ = load_records(out / "runs.jsonl")
     assert len(records) == 3
-    # the run the pool process finished before it died is kept
-    instance, run = map(int, finished.read_text().split())
-    assert (instance, run) in {(r["instance"], r["run_index"]) for r in records}
-    assert f"BFGS F1 2D instance {instance} run {run}:" not in failed[0]
 
 
 def _wait_for(condition):
@@ -1137,53 +1065,114 @@ def _wait_for(condition):
         time.sleep(0.01)
 
 
-def test_a_dead_pool_process_at_jobs_3_loses_no_run_unnamed(
-        tmp_path, monkeypatch, capsys):
+@contextlib.contextmanager
+def _start_method(method):
+    """multiprocessing's start method set to ``method`` inside the block."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+
+
+def _dead_worker_batch(worker, tmp, instances, runs, jobs):
+    """{start method: run_tasks's (records, failures)} of BFGS bench tasks
+    on F1 2D at budget 100, run by ``worker(this process's pid, tmp /
+    method, task)`` at ``jobs``."""
+    tasks = [(OptimizerConfig("BFGS"), instantiate(ProblemId(1, 2, i), 0),
+              100, run) for i in instances for run in range(runs)]
+    batches = {}
+    for method in ("fork", "spawn", "forkserver"):
+        (tmp / method).mkdir()
+        with _start_method(method):
+            batches[method] = switching.run_tasks(functools.partial(
+                worker, os.getpid(), tmp / method), tasks, jobs)
+    return batches
+
+
+def _dies_in_its_second_run(parent, tmp, task):
+    """Bench worker: the calling process waits in its run until a worker
+    process has died; a worker process finishes one run, then dies in its
+    second.  State lives in files, shared by every start method."""
+    ran = tmp / f"ran-{os.getpid()}"
+    if os.getpid() == parent:
+        _wait_for((tmp / "died").exists)
+    elif ran.exists():
+        (tmp / "died").touch()
+        os._exit(1)
+    record = cli._bench_cell(0, 1e-8, task)
+    if os.getpid() != parent:
+        ran.write_text(f"{record['instance']} {record['run_index']}")
+    return record
+
+
+def _run_of(task):
+    return task[1].id.instance, task[3]
+
+
+def test_a_dead_pool_process_fails_only_the_run_it_held(tmp_path):
+    # at jobs 2 the one worker process finishes a run, then dies in its
+    # second while this process waits in its first: the worker dies by its
+    # task, so spawned and forkserver workers die as forked ones do
+    batches = _dead_worker_batch(_dies_in_its_second_run, tmp_path, (1, 2),
+                                 2, jobs=2)
+    for method, (records, failures) in batches.items():
+        [(task, message)] = failures
+        assert message == "its worker process terminated abruptly", method
+        assert len(records) == 3, method
+        # the run the worker process finished before it died is kept
+        [ran] = (tmp_path / method).glob("ran-*")
+        finished = tuple(map(int, ran.read_text().split()))
+        assert finished in {(r["instance"], r["run_index"]) for r in records}
+        assert _run_of(task) != finished
+
+
+def _one_worker_dies(parent, tmp, task):
+    """Bench worker: the first worker process to start a run dies in its
+    second, while this process and the other worker are each held in a
+    run; each run started after the death appends its process id to
+    ``later``.  State lives in files, shared by every start method."""
+    pid = os.getpid()
+    role = tmp / f"role-{pid}"
+    if not role.exists():  # this process's first run
+        try:
+            if pid == parent:
+                raise FileExistsError
+            os.close(os.open(tmp / "dier", os.O_CREAT | os.O_EXCL))
+            role.write_text("dies")
+        except FileExistsError:
+            role.write_text("held")
+            (tmp / f"held-{pid}").touch()
+            _wait_for((tmp / "died").exists)
+    elif role.read_text() == "dies":
+        _wait_for(lambda: len(list(tmp.glob("held-*"))) == 2)
+        (tmp / "died").write_text("%d %d" % _run_of(task))
+        os._exit(1)
+    else:
+        with open(tmp / "later", "a") as fh:
+            fh.write(f"{pid}\n")
+        time.sleep(0.05)  # so that both survivors share the rest
+    return cli._bench_cell(0, 1e-8, task)
+
+
+def test_a_dead_pool_process_at_jobs_3_loses_no_run_unnamed(tmp_path):
     # the first worker to start a run dies in its second, while this
     # process and the other worker are each held in a run: only the run it
     # died in fails, and the other worker runs on beside this process
-    parent, died, later = os.getpid(), tmp_path / "died", tmp_path / "later"
-    role = []  # a forked worker keeps its own copy
-    real_run_single = cli.run_single
-
-    def dying(config, problem, **kwargs):
-        run = (problem.id.instance, kwargs["run_index"])
-        if role == ["dies"]:
-            _wait_for(lambda: len(list(tmp_path.glob("held-*"))) == 2)
-            died.write_text("%d %d" % run)
-            os._exit(1)
-        if role:
-            with open(later, "a") as fh:  # a run started after the death
-                fh.write(f"{os.getpid()}\n")
-            time.sleep(0.05)  # so that both survivors share the rest
-        else:
-            try:
-                if os.getpid() == parent:
-                    raise FileExistsError
-                os.close(os.open(tmp_path / "dier", os.O_CREAT | os.O_EXCL))
-                role.append("dies")
-            except FileExistsError:
-                role.append("held")
-                (tmp_path / f"held-{os.getpid()}").touch()
-                _wait_for(died.exists)
-        return real_run_single(config, problem, **kwargs)
-
-    monkeypatch.setattr(cli, "run_single", dying)
-    out = tmp_path / "out"
-    assert main(["bench", "--algorithms", "BFGS", "--functions", "1",
-                 "--dims", "2", "--instances", "1-3", "--runs", "4",
-                 "--budget-mult", "50", "--jobs", "3",
-                 "--out", str(out)]) == 2
-    [failed] = [line for line in capsys.readouterr().err.splitlines()
-                if line.startswith("FAILED")]
-    instance, run = map(int, died.read_text().split())
-    assert failed.startswith(f"FAILED BFGS F1 2D instance {instance} run "
-                             f"{run}:") and "terminated abruptly" in failed
-    records, _ = load_records(out / "runs.jsonl")
-    assert sorted((r["instance"], r["run_index"]) for r in records) == [
-        (i, r) for i in (1, 2, 3) for r in range(4) if (i, r) != (instance, run)]
-    [survivor] = {int(p.name[5:]) for p in tmp_path.glob("held-*")} - {parent}
-    assert str(survivor) in later.read_text().split()
+    batches = _dead_worker_batch(_one_worker_dies, tmp_path, (1, 2, 3), 4,
+                                 jobs=3)
+    for method, (records, failures) in batches.items():
+        tmp = tmp_path / method
+        [(task, message)] = failures
+        assert message == "its worker process terminated abruptly", method
+        died = tuple(map(int, (tmp / "died").read_text().split()))
+        assert _run_of(task) == died
+        assert sorted((r["instance"], r["run_index"]) for r in records) == [
+            (i, r) for i in (1, 2, 3) for r in range(4) if (i, r) != died]
+        [survivor] = ({int(p.name[5:]) for p in tmp.glob("held-*")}
+                      - {os.getpid()})
+        assert str(survivor) in (tmp / "later").read_text().split(), method
 
 
 @pytest.mark.parametrize("config, named", [
@@ -1228,15 +1217,24 @@ def test_switch_no_early_switch_reaches_the_runs(flag, tmp_path):
         [c and not flag for c in converged]
 
 
-def _analysis_of_cells(tmp_path, cells):
-    """An analysis whose dynamic virtual best is BFGS>PSO at tau 1 in each
-    (function, dimension) of ``cells``."""
-    analysis = tmp_path / "analysis"
-    cli._write_table(analysis / "vbs_report.tsv", *vbs_table([
-        VbsReport(f, d, "BFGS", 40.0, "BFGS", "PSO", 0.0, 30.0, 0.25)
-        for f, d in cells]))
-    (analysis / "manifest.json").write_text(json.dumps({"phi": 1e-8}))
-    return analysis
+def _log_of_cells(tmp_path, cells):
+    """A static log at budget 50 per dimension whose dynamic virtual best
+    is BFGS>PSO in each (function, dimension) of ``cells``; on F10 2D it
+    holds PSO alone, a virtual best that does not switch."""
+    def record(label, f, d, evals_used, hit_at):
+        return record_to_json({
+            "algorithm_label": label, "function_id": f, "dimension": d,
+            "instance": 1, "run_index": 0, "budget": 50 * d,
+            "evals_used": evals_used, "hit_at": hit_at}) + "\n"
+
+    exponents = DEFAULT_GRID.exponents
+    pso = {e: 40 if e >= 0 else 45 for e in exponents}
+    log = tmp_path / "runs.jsonl"
+    log.write_text("".join(
+        record("BFGS", f, d, 50 * d, {e: 10 for e in exponents if e >= 0})
+        + record("PSO", f, d, 45, pso) for f, d in cells)
+        + record("PSO", 10, 2, 45, pso))
+    return log
 
 
 @pytest.mark.parametrize("selection, ran", [
@@ -1248,9 +1246,9 @@ def _analysis_of_cells(tmp_path, cells):
 def test_switch_from_analysis_runs_the_cells_selected(selection, ran,
                                                       tmp_path):
     # --functions and --dims used to be ignored: every cell of the analysis ran
-    analysis = _analysis_of_cells(tmp_path, [(1, 2), (8, 2), (1, 3)])
+    log = _log_of_cells(tmp_path, [(1, 2), (8, 2), (1, 3)])
     out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), *selection,
+    assert main(["switch", "--plan", "vbs", "--logs", str(log), *selection,
                  "--runs", "1", "--instances", "1", "--budget-mult", "50",
                  "--out", str(out)]) == 0
     records, _ = load_records(out / "switch_runs.jsonl")
@@ -1258,18 +1256,21 @@ def test_switch_from_analysis_runs_the_cells_selected(selection, ran,
 
 
 def test_switch_runs_the_analysis_cells_then_the_plan_cells(tmp_path):
-    analysis = _analysis_of_cells(tmp_path, [(1, 2), (8, 2)])
-    out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis),
-                 "--plan", "BFGS:CMA-ES:1", "--functions", "1,8",
-                 "--dims", "2", "--runs", "1", "--instances", "1",
-                 "--budget-mult", "50", "--out", str(out)]) == 0
-    assert [(r["a1"], r["a2"], r["function_id"])
-            for r in _report_rows(out / "switch_report.tsv")] == [
-        ("BFGS", "PSO", "1"), ("BFGS", "PSO", "8"),
-        ("BFGS", "CMA-ES", "1"), ("BFGS", "CMA-ES", "8")]
-    records, _ = load_records(out / "switch_runs.jsonl")
-    assert len(records) == 4
+    # cells run and are reported in --plan order, either way round
+    log = _log_of_cells(tmp_path, [(1, 2), (8, 2)])
+    vbs = [("BFGS", "PSO", "1"), ("BFGS", "PSO", "8")]
+    listed = [("BFGS", "CMA-ES", "1"), ("BFGS", "CMA-ES", "8")]
+    for plans, rows in ((["vbs", "BFGS:CMA-ES:1"], vbs + listed),
+                        (["BFGS:CMA-ES:1", "vbs"], listed + vbs)):
+        out = tmp_path / plans[0]
+        assert main(["switch", "--plan", plans[0], "--plan", plans[1],
+                     "--logs", str(log), "--functions", "1,8", "--dims", "2",
+                     "--runs", "1", "--instances", "1", "--budget-mult", "50",
+                     "--out", str(out)]) == 0
+        assert [(r["a1"], r["a2"], r["function_id"])
+                for r in _report_rows(out / "switch_report.tsv")] == rows
+        records, _ = load_records(out / "switch_runs.jsonl")
+        assert len(records) == 4
 
 
 @pytest.mark.parametrize("selection", [
@@ -1277,9 +1278,9 @@ def test_switch_runs_the_analysis_cells_then_the_plan_cells(tmp_path):
 ])
 def test_switch_from_analysis_refuses_a_selection_without_runs(
         selection, tmp_path, capsys):
-    analysis = _analysis_of_cells(tmp_path, [(1, 2), (8, 2)])
+    log = _log_of_cells(tmp_path, [(1, 2), (8, 2)])
     out = tmp_path / "switch"
-    assert main(["switch", "--from-analysis", str(analysis), *selection,
+    assert main(["switch", "--plan", "vbs", "--logs", str(log), *selection,
                  "--runs", "1", "--instances", "1", "--budget-mult", "50",
                  "--out", str(out)]) == 1
     assert "no switch run to execute" in capsys.readouterr().err

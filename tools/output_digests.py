@@ -2,10 +2,11 @@
 
     python tools/output_digests.py [--src CHECKOUT/src] [--jobs N]
 
-Runs bench, analyze, switch (from an analysis, from plans, in point_only
-mode without early switches) and sweep-tau on small inputs, each in a new
-process with ``--src`` first on its import path, inside a temporary
-directory, with relative ``--out`` paths so that manifests compare equal.
+Runs bench, analyze, switch (the bench's dynamic virtual best, explicit
+plans, point_only mode without early switches) and sweep-tau on small
+inputs, each in a new process with ``--src`` first on its import path,
+inside a temporary directory, with relative ``--out`` paths so that
+manifests compare equal.
 Prints one ``sha256  path`` line per output file, sorted by path, then a
 line each for every command's stdout and stderr digests and exit code.
 
@@ -32,8 +33,8 @@ COMMANDS = [
     ("bench", ["bench", "--algorithms", "BFGS,MLSL,PSO,CMA-ES,DE",
                "--functions", "1,10,21", "--dims", "2,3", *SMALL]),
     ("analysis", ["analyze", "--logs", "bench"]),
-    ("switch-analysis", ["switch", "--from-analysis", "analysis",
-                         "--logs", "bench", *SMALL]),
+    ("switch-analysis", ["switch", "--plan", "vbs", "--logs", "bench",
+                         *SMALL]),
     ("switch-plans", ["switch", "--plan", "BFGS:CMA-ES:1e-2",
                       "--plan", "CMA-ES:BFGS:1", "--functions", "1,10",
                       "--dims", "2", "--logs", "bench", *SMALL]),
