@@ -18,6 +18,7 @@ import pytest
 
 import dynswitch
 from dynswitch import cli, switching
+from dynswitch.analysis import VbsReport
 from dynswitch.cli import cell_seed, main
 from dynswitch.optimizers import ALGORITHMS, OptimizerConfig
 from dynswitch.problems import ProblemId, instantiate
@@ -299,6 +300,32 @@ def test_switch_refuses_a_static_log_of_a_coarser_phi_or_another_suite(
     assert not out.exists()
     # the manifest's own setting is accepted
     assert main([*switch, option, value, "--out", str(out)]) == 0
+
+
+def test_switch_from_analysis_reads_back_the_vbs_table(bench_dir, tmp_path,
+                                                      monkeypatch):
+    # the virtual best as analyze reports it, with an identity pair (no tau)
+    reports = [
+        VbsReport(1, 2, "BFGS", 40.0, "PSO", "BFGS", 1.2, 30.0, 0.25),
+        VbsReport(8, 3, "CMA-ES", 90.0, "CMA-ES", "CMA-ES", None, 90.0, 0.0),
+        VbsReport(10, 2, "BFGS", math.inf, "CMA-ES", "BFGS", -2.2, 500.0,
+                  math.inf),
+    ]
+    monkeypatch.setattr(cli, "build_vbs_reports", lambda *_: reports)
+    read = []
+
+    def no_runs(tasks, *args):
+        read.extend((plan.a1.algorithm, plan.a2.algorithm, plan.tau_exponent,
+                     problem.id.function_id, problem.id.dimension)
+                    for plan, problem, *_ in tasks)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_switch_tasks", no_runs)
+    assert main(["switch", "--plan", "vbs", "--logs", str(bench_dir),
+                 "--runs", "1", "--instances", "1", "--budget-mult", "2000",
+                 "--out", str(tmp_path / "switch")]) == 0
+    assert read == [(r.dyn_a1, r.dyn_a2, r.dyn_tau_exponent, r.function_id,
+                     r.dimension) for r in reports if r.dyn_a1 != r.dyn_a2]
 
 
 def test_switch_plan_vbs_refuses_an_unknown_label(bench_dir, tmp_path, capsys):
