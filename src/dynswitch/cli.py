@@ -125,7 +125,8 @@ def _tau_exponents(text):
 
 
 def _unique(values, what):
-    """``values``, refused if one repeats: it would pool copies of runs."""
+    """``values``, refused if one repeats: it would pool copies of runs, or
+    a setting would be lost."""
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
         raise ValueError(f"duplicate {what}(s): {', '.join(map(str, repeated))}")
@@ -137,22 +138,31 @@ def _grid_target(text):
     return DEFAULT_GRID.snap(_number(text))
 
 
+def _json_object(pairs):
+    """A JSON object, refused if it repeats a key: json keeps the last."""
+    _unique([key for key, _ in pairs], "--config key")
+    return dict(pairs)
+
+
 def _optimizer_configs(args, algorithms):
     """OptimizerConfig per algorithm, with the --config overrides applied.
 
-    Every entry's name, type and range is checked before any run, used or not.
+    Every entry's name, type and range is checked before any run, used or
+    not, and so is that no key and no algorithm is given twice.
     """
     loaded = {}
     if args.config:
         with open(args.config) as fh:
-            loaded = json.load(fh)
+            loaded = json.load(fh, object_pairs_hook=_json_object)
         if not (isinstance(loaded, dict)
                 and all(isinstance(v, dict) for v in loaded.values())):
             raise ValueError(f"--config {args.config} must hold a JSON object "
                              f"of objects, one per algorithm, such as "
                              f'{{"CMA-ES": {{"population_size": 12}}}}')
-    configs = {config.algorithm: config for config in (
-        OptimizerConfig(name, values) for name, values in loaded.items())}
+    configs = [OptimizerConfig(name, values) for name, values in loaded.items()]
+    # an alias and its canonical name are one algorithm
+    _unique([config.algorithm for config in configs], "--config algorithm")
+    configs = {config.algorithm: config for config in configs}
     return {a: configs.get(a, OptimizerConfig(a)) for a in algorithms}
 
 
@@ -250,14 +260,27 @@ def cmd_bench(args):
         for (config, problem, _, run), message in failures], {})
 
 
-def _read_log(path):
+def _read_log(path, phi, suite_seed=None):
     """Records of the run log at ``path``, a file or the bench directory
-    holding it; a ValueError if it is missing, holds no parseable record or
-    holds one run twice at one budget (two budgets: the ERT tables refuse)."""
+    holding it; a ValueError if it is missing, holds no parseable record,
+    holds one run twice at one budget (two budgets: the ERT tables refuse),
+    or the manifest.json beside it (if any) gives a phi above ``phi`` or
+    a suite seed other than ``suite_seed`` (if given)."""
     log_path = Path(path)
     log_path = log_path / "runs.jsonl" if log_path.is_dir() else log_path
     if not log_path.exists():
         raise ValueError(f"no run log at {log_path}")
+    manifest_path = log_path.parent / "manifest.json"
+    manifest = (json.loads(manifest_path.read_text())
+                if manifest_path.exists() else {})
+    # a run stopped at a coarser phi reads as a failure at this one
+    if manifest.get("phi", phi) > phi:
+        raise ValueError(f"{manifest_path} gives phi {manifest['phi']:g}, "
+                         f"above --phi {phi:g}: its runs stopped short of it")
+    if suite_seed not in (None, manifest.get("suite_seed", suite_seed)):
+        raise ValueError(
+            f"{manifest_path} gives suite_seed {manifest['suite_seed']}, not "
+            f"--suite-seed {suite_seed}: its runs are on other problem instances")
     records, skipped = load_records(log_path)
     if skipped:
         print(f"warning: skipped {skipped} malformed log lines", file=sys.stderr)
@@ -275,7 +298,7 @@ def _read_log(path):
 
 
 def cmd_analyze(args):
-    records = _read_log(args.logs)
+    records = _read_log(args.logs, args.phi)
     outdir = Path(args.out)
     tables = build_ert_tables(records)
     reports = build_vbs_reports(tables, DEFAULT_GRID.snap_exponent(args.phi))
@@ -331,10 +354,9 @@ def _plan_cells(args, static_tables):
 
 def _static_records(args):
     """Records of the static log --logs; a ValueError if they cannot stand
-    beside this switch's runs: one is a switch run, or the manifest.json
-    beside the log (when there is one) gives a phi above --phi or another
-    suite seed."""
-    records = _read_log(args.logs)
+    beside this switch's runs: :func:`_read_log` refuses them at --phi and
+    --suite-seed, or one is a switch run."""
+    records = _read_log(args.logs, args.phi, args.suite_seed)
     # the report would read a switch run as a static run
     for rec in records:
         if "switch_eval" in rec:
@@ -342,17 +364,6 @@ def _static_records(args):
             raise ValueError(f"--logs {args.logs} holds the switch run {a} "
                              f"F{f} {d}D instance {i} run {r}: give it a "
                              f"bench log")
-    path = Path(args.logs)
-    path = (path if path.is_dir() else path.parent) / "manifest.json"
-    manifest = json.loads(path.read_text()) if path.exists() else {}
-    # a run stopped at a coarser phi reads as a failure at this one
-    if manifest.get("phi", args.phi) > args.phi:
-        raise ValueError(f"{path} gives phi {manifest['phi']:g}, above "
-                         f"--phi {args.phi:g}: its runs stopped short of it")
-    if manifest.get("suite_seed", args.suite_seed) != args.suite_seed:
-        raise ValueError(f"{path} gives suite_seed {manifest['suite_seed']}, "
-                         f"not --suite-seed {args.suite_seed}: its runs are "
-                         f"on other problem instances")
     return records
 
 

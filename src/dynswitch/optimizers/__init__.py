@@ -8,6 +8,7 @@ from .driver import (
     drive,
     make_optimizer,
     run_single,
+    start,
 )
 from .mlsl import Mlsl
 from .pso import Pso
@@ -24,4 +25,5 @@ __all__ = [
     "drive",
     "make_optimizer",
     "run_single",
+    "start",
 ]

@@ -91,8 +91,10 @@ class OptimizerConfig:
         make_optimizer(self, 2, np.random.default_rng(0))
 
 
-def make_optimizer(config: OptimizerConfig, dim: int, rng):
-    return ALGORITHMS[config.algorithm](dim, rng, **config.overrides)
+def make_optimizer(config: OptimizerConfig, dim: int, rng, **state):
+    """The one builder of an optimizer: ``config``'s, with a warm start's
+    ``state``, which wins over a setting of the same name."""
+    return ALGORITHMS[config.algorithm](dim, rng, **(config.overrides | state))
 
 
 def drive(optimizer, ev: BudgetedEvaluator) -> str:
@@ -107,6 +109,19 @@ def drive(optimizer, ev: BudgetedEvaluator) -> str:
         return TERMINATED_BUDGET
 
 
+def start(config: OptimizerConfig, problem: ProblemInstance, budget: int,
+          stop_target: float, label: str, seed: int, run_index: int):
+    """(evaluator, optimizer, reason): ``config``'s optimizer, seeded with
+    ``seed`` and driven to ``stop_target``.  A static run and a switch's
+    phase 1 both start here: A1 replays its static run evaluation for
+    evaluation."""
+    ev = BudgetedEvaluator(problem, budget, stop_target=stop_target,
+                           algorithm_label=label, run_index=run_index)
+    optimizer = make_optimizer(config, problem.dimension,
+                               np.random.default_rng(seed))
+    return ev, optimizer, drive(optimizer, ev)
+
+
 def run_single(
     config: OptimizerConfig,
     problem: ProblemInstance,
@@ -115,12 +130,9 @@ def run_single(
     seed: int = 0,
     run_index: int = 0,
 ) -> RunTrace:
-    """One full static run; deterministic given (config, problem, seed)."""
-    ev = BudgetedEvaluator(
-        problem, budget, stop_target=final_target,
-        algorithm_label=config.algorithm, run_index=run_index,
-    )
-    rng = np.random.default_rng(seed)
-    optimizer = make_optimizer(config, problem.dimension, rng)
-    ev.trace.terminated_reason = drive(optimizer, ev)
+    """One full static run, :func:`start` to ``final_target``; deterministic
+    given (config, problem, seed)."""
+    ev, _, reason = start(config, problem, budget, final_target,
+                          config.algorithm, seed, run_index)
+    ev.trace.terminated_reason = reason
     return ev.trace

@@ -15,14 +15,13 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .optimizers import OptimizerConfig, drive, make_optimizer
+from .optimizers import OptimizerConfig, drive, start
 from .problems import ProblemInstance
 from .tracing import (
     DEFAULT_FINAL_TARGET,
     DEFAULT_GRID,
     TERMINATED_CONVERGED,
     TERMINATED_TARGET,
-    BudgetedEvaluator,
     RunTrace,
 )
 from .warmstart import WarmStartPolicy, apply_warmstart, extract
@@ -88,14 +87,10 @@ def run_switch(
     seed: int = 0,
     run_index: int = 0,
 ) -> SwitchTrace:
-    """Execute one dynamic run; deterministic given (plan, problem, seed)."""
-    ev = BudgetedEvaluator(
-        problem, budget, stop_target=plan.tau,
-        algorithm_label=plan.label(), run_index=run_index,
-    )
-    rng1 = np.random.default_rng(seed)
-    a1 = make_optimizer(plan.a1, problem.dimension, rng1)
-    phase1_reason = drive(a1, ev)
+    """Execute one dynamic run; deterministic given (plan, problem, seed):
+    A1 from :func:`start` to tau, then A2 warm-started from it to phi."""
+    ev, a1, phase1_reason = start(plan.a1, problem, budget, plan.tau,
+                                  plan.label(), seed, run_index)
 
     switch_eval = None
     phase2_reason = None
@@ -108,10 +103,7 @@ def run_switch(
         switch_eval = ev.evals_used
         ws = extract(a1, ev.best_x, ev.best_f, ev.evals_used)
         rng2 = np.random.default_rng([seed, A2_SEED_SALT])
-        a2 = apply_warmstart(
-            ws, plan.a1.algorithm, plan.a2.algorithm, plan.policy, rng2,
-            overrides=plan.a2.overrides,
-        )
+        a2 = apply_warmstart(ws, plan.a1.algorithm, plan.a2, plan.policy, rng2)
         ev.stop_target = plan.phi
         if ev.best_precision <= plan.phi:
             phase2_reason = TERMINATED_TARGET

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import repair_spd
-from .optimizers import Bfgs, Cmaes, De, Mlsl, Pso
+from .optimizers import Bfgs, Cmaes, De, OptimizerConfig, Pso, make_optimizer
 from .optimizers.de import resolve_population_size
 from .optimizers.pso import resolve_swarm_size
 from .problems import DOMAIN_HIGH, DOMAIN_LOW
@@ -128,53 +128,46 @@ def unit_determinant(matrix):
     return m / np.exp(logdet / d)
 
 
-def _construct(cls, dim, rng, overrides, **state):
-    """``cls`` built with the A2 config overrides; the warm-started state
-    wins where both name the same parameter."""
-    return cls(dim, rng, **{**(overrides or {}), **state})
-
-
 def warmstart_cmaes_from_bfgs(ws: WarmStartState, policy: WarmStartPolicy,
-                              rng, overrides=None) -> Cmaes:
+                              rng, a2=OptimizerConfig("CMA-ES")) -> Cmaes:
     """Covariance from the inverse Hessian, step-size from the trajectory,
     mean at BFGS's last iterate."""
     dim = ws.best_point.size
     cov = unit_determinant(ws.inv_hessian)
     sigma = _trajectory_sigma(ws.recent_trajectory, policy.step_size_window)
     last_point = np.array(ws.recent_trajectory[0], dtype=float, copy=True)
-    return _construct(Cmaes, dim, rng, overrides, mean=last_point,
-                      sigma=sigma, C=cov)
+    return make_optimizer(a2, dim, rng, mean=last_point, sigma=sigma, C=cov)
 
 
 def warmstart_bfgs_from_cmaes(ws: WarmStartState, policy: WarmStartPolicy,
-                              rng, overrides=None) -> Bfgs:
+                              rng, a2=OptimizerConfig("BFGS")) -> Bfgs:
     """Inverse Hessian = beta * sigma^2 * C, started at the best point."""
     dim = ws.best_point.size
     h0 = policy.hessian_scale * ws.sigma ** 2 * ws.covariance
-    return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy(),
-                      inv_hessian=h0)
+    return make_optimizer(a2, dim, rng, x0=ws.best_point.copy(),
+                          inv_hessian=h0)
 
 
-def _population_size(target, dim, overrides):
+def _population_size(a2: OptimizerConfig, dim):
     """Swarm or population size, as the PSO and DE constructors choose and
     check it."""
-    overrides = overrides or {}
-    if target == "PSO":
-        return resolve_swarm_size(overrides.get("swarm_size"))
-    return resolve_population_size(dim, overrides.get("population_size"))
+    if a2.algorithm == "PSO":
+        return resolve_swarm_size(a2.overrides.get("swarm_size"))
+    return resolve_population_size(dim, a2.overrides.get("population_size"))
 
 
-def warmstart_generic(ws: WarmStartState, target: str,
-                      policy: WarmStartPolicy, rng, overrides=None):
+def warmstart_generic(ws: WarmStartState, a2: OptimizerConfig,
+                      policy: WarmStartPolicy, rng):
     """Transfer for every pair and mode without a dedicated procedure; a
     PSO/DE target from a source without a population is all hyperbox."""
     dim = ws.best_point.size
+    target = a2.algorithm
     if target == "BFGS":
-        return _construct(Bfgs, dim, rng, overrides, x0=ws.best_point.copy())
+        return make_optimizer(a2, dim, rng, x0=ws.best_point.copy())
     if target == "MLSL":
         # a fresh sampler, pre-seeded with the predecessor's best point so
         # the reduced-set logic is aware of it
-        opt = _construct(Mlsl, dim, rng, overrides)
+        opt = make_optimizer(a2, dim, rng)
         opt.sample_points = np.array([ws.best_point], dtype=float)
         opt.sample_values = np.array([ws.best_value], dtype=float)
         return opt
@@ -184,10 +177,10 @@ def warmstart_generic(ws: WarmStartState, target: str,
             spread = float(np.mean(np.std(ws.population[0], axis=0)))
             if spread > 0:
                 sigma = 0.5 * spread
-        return _construct(Cmaes, dim, rng, overrides,
-                          mean=ws.best_point.copy(), sigma=sigma)
+        return make_optimizer(a2, dim, rng, mean=ws.best_point.copy(),
+                              sigma=sigma)
     if target in ("PSO", "DE"):
-        size = _population_size(target, dim, overrides)
+        size = _population_size(a2, dim)
         points, values = ws.population or (np.empty((0, dim)), np.empty(0))
         carried = points[np.argsort(values, kind="stable")[:size]]
         n_carried = len(carried)
@@ -202,26 +195,25 @@ def warmstart_generic(ws: WarmStartState, target: str,
         if not np.any(np.all(positions == best_clipped[None, :], axis=1)):
             positions[-1] = best_clipped
         if target == "DE":
-            return _construct(De, dim, rng, overrides, population=positions)
+            return make_optimizer(a2, dim, rng, population=positions)
         velocities = np.zeros_like(positions)
         velocities[n_carried:] = rng.uniform(-eta, eta, size=pad.shape)
-        return _construct(Pso, dim, rng, overrides, positions=positions,
-                          velocities=velocities)
+        return make_optimizer(a2, dim, rng, positions=positions,
+                              velocities=velocities)
     raise ValueError(f"unsupported warm-start target {target!r}")
 
 
-def apply_warmstart(ws: WarmStartState, source: str, target: str,
-                    policy: WarmStartPolicy, rng, overrides=None):
-    """The dedicated model transfer for BFGS -> CMA-ES and CMA-ES -> BFGS in
-    ``full`` mode; the generic transfer for everything else.
-
-    ``overrides`` are A2's constructor overrides (``OptimizerConfig``, which
-    refuses the starting state as a setting); a warm-started sigma wins over
-    theirs.
+def apply_warmstart(ws: WarmStartState, source: str, a2: OptimizerConfig,
+                    policy: WarmStartPolicy, rng):
+    """A2, built by ``make_optimizer`` from its config and the state handed
+    over from ``source``: the dedicated model transfer for BFGS -> CMA-ES
+    and CMA-ES -> BFGS in ``full`` mode, the generic transfer for everything
+    else.  The handed-over state wins over a setting of the same name
+    (sigma); ``OptimizerConfig`` refuses the rest of it as a setting.
     """
     if policy.mode == MODE_FULL:
-        if (source, target) == ("BFGS", "CMA-ES"):
-            return warmstart_cmaes_from_bfgs(ws, policy, rng, overrides)
-        if (source, target) == ("CMA-ES", "BFGS"):
-            return warmstart_bfgs_from_cmaes(ws, policy, rng, overrides)
-    return warmstart_generic(ws, target, policy, rng, overrides)
+        if (source, a2.algorithm) == ("BFGS", "CMA-ES"):
+            return warmstart_cmaes_from_bfgs(ws, policy, rng, a2)
+        if (source, a2.algorithm) == ("CMA-ES", "BFGS"):
+            return warmstart_bfgs_from_cmaes(ws, policy, rng, a2)
+    return warmstart_generic(ws, a2, policy, rng)

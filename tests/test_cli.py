@@ -302,6 +302,26 @@ def test_switch_refuses_a_static_log_of_a_coarser_phi_or_another_suite(
     assert main([*switch, option, value, "--out", str(out)]) == 0
 
 
+def test_analyze_refuses_a_log_of_a_coarser_phi(tmp_path, capsys):
+    # it used to read the runs stopped at 1e-2 as failures at 1e-8: CMA-ES
+    # at 0/1, and a virtual best switching out of it
+    static = tmp_path / "static"
+    _small_bench(static, "--phi", "1e-2")
+    capsys.readouterr()
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--logs", str(static), "--out", str(out)]) == 1
+    assert (f"error: {static / 'manifest.json'} gives phi 0.01, above --phi "
+            f"1e-08: its runs stopped short of it"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # at the log's own phi it is read, and so is a log without a manifest
+    assert main(["analyze", "--logs", str(static), "--phi", "1e-2",
+                 "--out", str(out)]) == 0
+    (static / "manifest.json").unlink()
+    assert main(["analyze", "--logs", str(static / "runs.jsonl"),
+                 "--out", str(tmp_path / "unchecked")]) == 0
+
+
 def test_switch_from_analysis_reads_back_the_vbs_table(bench_dir, tmp_path,
                                                       monkeypatch):
     # the virtual best as analyze reports it, with an identity pair (no tau)
@@ -884,6 +904,11 @@ def test_every_typed_option_refuses_a_non_number_naming_its_flag(
      "PSO takes no setting 'positions'"),
     ({"PSO": {"velocities": [[0, 0]]}}, "PSO takes no setting 'velocities'"),
     ({"DE": {"population": [[0, 0]] * 4}}, "DE takes no setting 'population'"),
+    # a name given twice, as JSON text: an alias and its canonical name, and
+    # a key repeated in one object; both used to keep the last entry alone
+    ('{"cmaes": {"population_size": 4}, "CMA-ES": {"population_size": 12}}',
+     "error: duplicate --config algorithm(s): CMA-ES"),
+    ('{"DE": {"tol": 1e-3, "tol": 0.5}}', "error: duplicate --config key(s): tol"),
 ])
 @pytest.mark.parametrize("command", ["bench", "switch", "sweep-tau"])
 def test_config_is_checked_before_any_run(command, config, named, tmp_path,
@@ -899,14 +924,14 @@ def _small(command):
 
 
 def _refuses_config(argv, config, named, tmp_path, capsys, monkeypatch):
-    """``argv`` with ``config`` as its --config exits 1 naming ``named``
-    before any run, and leaves no --out."""
+    """``argv`` with ``config`` (an object, or JSON text) as its --config
+    exits 1 naming ``named`` before any run, and leaves no --out."""
     def no_run(*args):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(switching, "_outcome", no_run)
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out"
     assert run_cli(*argv, "--instances", "1", "--runs", "1", "--budget-mult",
                    "50", "--config", str(cfg), "--out", str(out)) == 1

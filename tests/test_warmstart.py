@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from dynswitch.optimizers import Bfgs, Cmaes, De, Mlsl, Pso
+from dynswitch.optimizers import Bfgs, Cmaes, De, Mlsl, OptimizerConfig, Pso
 from dynswitch.tracing import BudgetedEvaluator, StopRun
 from dynswitch.warmstart import (
     DEFAULT_SIGMA,
@@ -101,9 +101,9 @@ def test_generic_transfer_carries_the_best_members_in_value_order():
     values = np.array([3.0, 1.0, np.inf, 1.0, 0.5, 2.0])
     ws = WarmStartState(best_point=points[4], best_value=0.5,
                         population=(points, values))
-    de = apply_warmstart(ws, "PSO", "DE", default_policy(),
-                         np.random.default_rng(0),
-                         overrides={"population_size": 4})
+    de = apply_warmstart(
+        ws, "PSO", OptimizerConfig("DE", {"population_size": 4}),
+        default_policy(), np.random.default_rng(0))
     assert np.array_equal(de.population, points[[4, 1, 3, 5]])
 
 
@@ -164,7 +164,7 @@ def test_cmaes_from_bfgs_point_only():
         inv_hessian=np.diag([4.0, 1.0]),
         recent_trajectory=[np.array([9.0, 9.0])],
     )
-    opt = apply_warmstart(ws, "BFGS", "CMA-ES",
+    opt = apply_warmstart(ws, "BFGS", OptimizerConfig("CMA-ES"),
                           default_policy(mode=MODE_POINT_ONLY),
                           np.random.default_rng(0))
     assert np.array_equal(opt.mean, [1.0, 2.0])
@@ -201,7 +201,7 @@ def test_bfgs_from_cmaes_scaling():
     opt = warmstart_bfgs_from_cmaes(ws, policy, np.random.default_rng(0))
     assert np.allclose(opt.inv_hessian, 2.0 * 0.3 ** 2 * C)
     assert np.array_equal(opt.x, [0.1, 0.2])
-    point_only = apply_warmstart(ws, "CMA-ES", "BFGS",
+    point_only = apply_warmstart(ws, "CMA-ES", OptimizerConfig("BFGS"),
                                  default_policy(mode=MODE_POINT_ONLY),
                                  np.random.default_rng(0))
     assert np.allclose(point_only.inv_hessian, np.eye(2))
@@ -212,12 +212,14 @@ def test_hyperbox_population_geometry():
     best = np.array([2.0, -1.0])
     ws = WarmStartState(best_point=best, best_value=1.0)
     policy = default_policy(hyperbox_radius=0.25)
-    pso = apply_warmstart(ws, "MLSL", "PSO", policy, np.random.default_rng(0))
+    pso = apply_warmstart(ws, "MLSL", OptimizerConfig("PSO"), policy,
+                          np.random.default_rng(0))
     assert pso.positions.shape == (40, 2)
     assert np.any(np.all(pso.positions == best[None, :], axis=1))
     assert np.all(np.abs(pso.positions - best[None, :]) <= 0.25 + 1e-12)
     assert np.all(np.abs(pso.velocities) <= 0.25)
-    de = apply_warmstart(ws, "MLSL", "DE", policy, np.random.default_rng(0))
+    de = apply_warmstart(ws, "MLSL", OptimizerConfig("DE"), policy,
+                         np.random.default_rng(0))
     assert de.population.shape == (10, 2)
     assert np.any(np.all(de.population == best[None, :], axis=1))
     assert np.all(np.abs(de.population - best[None, :]) <= 0.25 + 1e-12)
@@ -227,7 +229,8 @@ def test_hyperbox_clips_at_domain_boundary():
     best = np.array([4.95, -4.95])
     ws = WarmStartState(best_point=best, best_value=1.0)
     policy = default_policy(hyperbox_radius=0.5)
-    pso = apply_warmstart(ws, "MLSL", "PSO", policy, np.random.default_rng(0))
+    pso = apply_warmstart(ws, "MLSL", OptimizerConfig("PSO"), policy,
+                          np.random.default_rng(0))
     assert np.all(pso.positions <= 5.0)
     assert np.all(pso.positions >= -5.0)
 
@@ -239,7 +242,8 @@ def test_cmaes_from_mlsl_is_mean_only():
     ws = extract(mlsl, ev.best_x, ev.best_f, ev.trace.evals_used)
     assert ws.population is None
     for mode in (MODE_FULL, MODE_POINT_ONLY):
-        opt = apply_warmstart(ws, "MLSL", "CMA-ES", default_policy(mode=mode),
+        opt = apply_warmstart(ws, "MLSL", OptimizerConfig("CMA-ES"),
+                              default_policy(mode=mode),
                               np.random.default_rng(0))
         assert np.array_equal(opt.mean, ev.best_x)
         assert opt.sigma == DEFAULT_SIGMA
@@ -250,11 +254,11 @@ def test_generic_population_transfer_keeps_best_point():
     pop = (np.array([[float(i), 0.0] for i in range(5)]), np.arange(5.0))
     ws = WarmStartState(best_point=np.array([0.0, 0.0]), best_value=0.0,
                         population=pop)
-    de = apply_warmstart(ws, "PSO", "DE", default_policy(),
+    de = apply_warmstart(ws, "PSO", OptimizerConfig("DE"), default_policy(),
                          np.random.default_rng(0))
     assert de.population.shape == (10, 2)
     assert np.any(np.all(de.population == 0.0, axis=1))
-    pso = apply_warmstart(ws, "DE", "PSO", default_policy(),
+    pso = apply_warmstart(ws, "DE", OptimizerConfig("PSO"), default_policy(),
                           np.random.default_rng(0))
     # carried members start at rest, padded ones get hyperbox velocities
     assert np.all(pso.velocities[:5] == 0.0)
@@ -262,8 +266,8 @@ def test_generic_population_transfer_keeps_best_point():
 
 def test_generic_transfer_into_mlsl_seeds_best_point():
     ws = WarmStartState(best_point=np.array([1.0, -2.0]), best_value=3.0)
-    opt = apply_warmstart(ws, "CMA-ES", "MLSL", default_policy(),
-                          np.random.default_rng(0))
+    opt = apply_warmstart(ws, "CMA-ES", OptimizerConfig("MLSL"),
+                          default_policy(), np.random.default_rng(0))
     assert np.array_equal(opt.sample_points, [[1.0, -2.0]])
     assert opt.sample_values[0] == 3.0
 
@@ -280,8 +284,8 @@ def test_no_evaluations_during_transfer():
     ev = run_a_little(opt, problem, steps=3)
     before = calls["n"]
     ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
-    apply_warmstart(ws, "CMA-ES", "BFGS", default_policy(),
-                    np.random.default_rng(1))
+    apply_warmstart(ws, "CMA-ES", OptimizerConfig("BFGS"),
+                    default_policy(), np.random.default_rng(1))
     assert calls["n"] == before
 
 
@@ -307,8 +311,8 @@ def test_full_transfer_beats_point_only_after_bfgs():
             (warm_costs, default_policy()),
             (cold_costs, default_policy(mode=MODE_POINT_ONLY)),
         ):
-            c = apply_warmstart(ws, "BFGS", "CMA-ES", policy,
-                                np.random.default_rng(seed))
+            c = apply_warmstart(ws, "BFGS", OptimizerConfig("CMA-ES"),
+                                policy, np.random.default_rng(seed))
             ev2 = BudgetedEvaluator(problem, 100_000, stop_target=1e-9)
             try:
                 while not c.finished:
@@ -323,25 +327,25 @@ def test_a2_overrides_apply_and_warm_state_wins():
     best = np.array([1.5, 0.5])
     ws = WarmStartState(best_point=best, best_value=1.0,
                         population=(best[None, :], np.array([1.0])))
-    cma = apply_warmstart(ws, "MLSL", "CMA-ES", default_policy(),
-                          np.random.default_rng(0),
-                          overrides={"population_size": 12,
-                                     "mean": np.zeros(2), "sigma": 3.0})
+    # a config holds no starting state (mean, x0): only sigma can clash
+    cma = apply_warmstart(
+        ws, "MLSL", OptimizerConfig("CMA-ES", {"population_size": 12,
+                                               "sigma": 3.0}),
+        default_policy(), np.random.default_rng(0))
     assert cma.lam == 12
     assert np.array_equal(cma.mean, best) and cma.sigma == DEFAULT_SIGMA
-    bfgs = apply_warmstart(ws, "PSO", "BFGS", default_policy(),
-                           np.random.default_rng(0),
-                           overrides={"gradient_tolerance": 1e-3,
-                                      "x0": np.zeros(2)})
+    bfgs = apply_warmstart(
+        ws, "PSO", OptimizerConfig("BFGS", {"gradient_tolerance": 1e-3}),
+        default_policy(), np.random.default_rng(0))
     assert bfgs.gradient_tolerance == 1e-3 and np.array_equal(bfgs.x, best)
     # population sizes follow the overrides, with members carried or not
     for state in (ws, WarmStartState(best_point=best, best_value=1.0)):
-        de = apply_warmstart(state, "MLSL", "DE", default_policy(),
-                             np.random.default_rng(0),
-                             overrides={"population_size": 7})
-        pso = apply_warmstart(state, "MLSL", "PSO", default_policy(),
-                              np.random.default_rng(0),
-                              overrides={"swarm_size": 9})
+        de = apply_warmstart(
+            state, "MLSL", OptimizerConfig("DE", {"population_size": 7}),
+            default_policy(), np.random.default_rng(0))
+        pso = apply_warmstart(
+            state, "MLSL", OptimizerConfig("PSO", {"swarm_size": 9}),
+            default_policy(), np.random.default_rng(0))
         assert de.population.shape == (7, 2)
         assert pso.positions.shape == (9, 2)
 
@@ -371,7 +375,7 @@ def test_mode_changes_only_the_model_transfers(source):
     ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
     for target in (t for t in ALGORITHMS if t != source):
         full, point_only = (
-            _start_state(apply_warmstart(ws, source, target,
+            _start_state(apply_warmstart(ws, source, OptimizerConfig(target),
                                          default_policy(mode=mode),
                                          np.random.default_rng(1)))
             for mode in (MODE_FULL, MODE_POINT_ONLY))

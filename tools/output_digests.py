@@ -3,12 +3,14 @@
     python tools/output_digests.py [--src CHECKOUT/src] [--jobs N]
 
 Runs bench, analyze, switch (the bench's dynamic virtual best, explicit
-plans, point_only mode without early switches) and sweep-tau on small
+plans, point_only mode without early switches, plans into each algorithm
+with settings for all five from a ``--config``) and sweep-tau on small
 inputs, each in a new process with ``--src`` first on its import path,
-inside a temporary directory, with relative ``--out`` paths so that
-manifests compare equal.
-Prints one ``sha256  path`` line per output file, sorted by path, then a
-line each for every command's stdout and stderr digests and exit code.
+inside a temporary directory, with relative ``--out`` and ``--config``
+paths so that manifests compare equal.
+Prints one ``sha256  path`` line per file, the outputs and the ``--config``
+file, sorted by path, then a line each for every command's stdout and
+stderr digests and exit code.
 
 Two checkouts that write the same bytes print the same listing, and so do
 two ``--jobs`` values: ``manifest.json`` is digested without its ``jobs``
@@ -28,6 +30,15 @@ import tempfile
 from pathlib import Path
 
 SMALL = ["--instances", "1,2", "--runs", "2", "--budget-mult", "300"]
+# settings for every algorithm, written to the --config file CONFIG
+CONFIG = "config.json"
+SETTINGS = {
+    "BFGS": {"gradient_tolerance": 1e-6},
+    "CMA-ES": {"population_size": 8, "sigma": 1.0},
+    "DE": {"population_size": 12, "crossover_rate": 0.7},
+    "PSO": {"swarm_size": 20},
+    "MLSL": {"population_size": 30, "local_budget_fraction": 0.05},
+}
 # (name, arguments): a name is also the command's --out directory
 COMMANDS = [
     ("bench", ["bench", "--algorithms", "BFGS,MLSL,PSO,CMA-ES,DE",
@@ -41,6 +52,11 @@ COMMANDS = [
     ("switch-point", ["switch", "--plan", "PSO:BFGS:1e-2", "--functions",
                       "10,21", "--dims", "3", "--warmstart-mode",
                       "point_only", "--no-early-switch", *SMALL]),
+    ("switch-config", ["switch", "--plan", "BFGS:CMA-ES:1e-2", "--plan",
+                       "PSO:DE:1", "--plan", "DE:PSO:1", "--plan",
+                       "CMA-ES:BFGS:1", "--plan", "CMA-ES:MLSL:1",
+                       "--functions", "1,10", "--dims", "2", "--config",
+                       CONFIG, *SMALL]),
     ("sweep", ["sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS", "--function",
                "10", "--dim", "2", "--tau-exponents", "1,0,-2", *SMALL]),
 ]
@@ -63,6 +79,7 @@ def listing(src: Path, jobs: int) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, CONFIG).write_text(json.dumps(SETTINGS))
         for name, argv in COMMANDS:
             if argv[0] != "analyze":
                 argv = [*argv, "--jobs", str(jobs)]
