@@ -272,15 +272,6 @@ def switch_report(plans, switch_tables, static_tables, phi_exponent):
              "actual_gain", "actual_vs_theoretical"), rows)
 
 
-def heatmap_table(reports):
-    """heatmap.tsv, one row per report: the theoretical gain capped below at
-    0, flagged when it was negative and when it was -inf."""
-    return (("function_id", "dimension", "value", "negative", "infinite"),
-            [(r.function_id, r.dimension, max(r.theoretical_gain, 0.0),
-              int(-math.inf < r.theoretical_gain < 0),
-              int(r.theoretical_gain == -math.inf)) for r in reports])
-
-
 def use_case_table(reports):
     """use_cases.tsv: each (A1, A2) pair leading the dynamic VBS, with the
     number and the sorted list of its cells; identity pairs are 'no switch'

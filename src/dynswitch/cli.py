@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +22,6 @@ from .analysis import (
     build_ert_tables,
     build_vbs_reports,
     ert_table,
-    heatmap_table,
     sweep_run_table,
     switch_report,
     tau_summary,
@@ -32,9 +30,9 @@ from .analysis import (
 )
 from .optimizers import OptimizerConfig, canonical_algorithm, run_single
 from .problems import IMPLEMENTED_FUNCTIONS, ProblemId, instantiate
-# run_switch stays bound here: the benchmark's tracer patches it by this name
-from .switching import (SwitchPlan, cell_seed, run_switch, run_switch_tasks,
-                        run_tasks, sweep_tau)
+# the benchmark's tracer patches run_switch here; cell_seed is re-exported
+from .switching import (RunKey, SwitchPlan, cell_seed, run_switch,
+                        run_switch_tasks, run_tasks, sweep_tau)
 from .tracing import (
     DEFAULT_FINAL_TARGET,
     DEFAULT_GRID,
@@ -185,10 +183,8 @@ def _problems(args, cells):
 def _bench_cell(seed, phi, task):
     """Worker: one static run.  Top level so it pickles for a worker."""
     config, problem, budget, run = task
-    return run_single(
-        config, problem, budget=budget, final_target=phi, run_index=run,
-        seed=cell_seed(seed, config.algorithm, *astuple(problem.id), run),
-    ).to_record()
+    return run_single(config, problem, budget=budget, final_target=phi,
+                      run_index=run, seed=RunKey.of(task).seed(seed)).to_record()
 
 
 def _create(path):
@@ -198,15 +194,9 @@ def _create(path):
     return open(path, "w")
 
 
-def _run_key(rec):
-    """A run's name in a log: label, cell, instance, run index (or None)."""
-    return (rec["algorithm_label"], rec["function_id"], rec["dimension"],
-            rec.get("instance"), rec.get("run_index"))
-
-
 def _write_records(path, records):
     # deterministic order regardless of worker scheduling
-    records = sorted(records, key=_run_key)
+    records = sorted(records, key=RunKey.of_record)
     with _create(path) as fh:
         for rec in records:
             fh.write(record_to_json(rec) + "\n")
@@ -255,24 +245,44 @@ def cmd_bench(args):
         _, succ, total = curve[phi_exp]
         print(f"{label:8s} F{f:<3d} {d:>2d}D  {succ}/{total} successes")
     return _finish(args, "runs.jsonl", records, [
-        f"{config.algorithm} F{problem.id.function_id} {problem.id.dimension}D "
-        f"instance {problem.id.instance} run {run}: {message}"
-        for (config, problem, _, run), message in failures], {})
+        f"{RunKey.of(task)}: {message}" for task, message in failures], {})
+
+
+def _read_manifest(path):
+    """The manifest.json at ``path`` ({} if none); a ValueError naming it,
+    and the key at fault, unless it is a JSON object whose phi (if given)
+    is a positive finite number and whose suite_seed (if given) an int."""
+    try:
+        manifest = json.loads(path.read_text()) if path.exists() else {}
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path} is not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} must hold a JSON object, not "
+                         f"{type(manifest).__name__}")
+    phi, suite_seed = manifest.get("phi", 1), manifest.get("suite_seed", 0)
+    # a bool is no number here, and a NaN phi would pass every check
+    if type(phi) not in (int, float) or not 0 < phi < math.inf:
+        raise ValueError(f"{path} gives phi {phi!r}: not a positive finite "
+                         f"number")
+    if type(suite_seed) is not int:
+        raise ValueError(f"{path} gives suite_seed {suite_seed!r}: not an "
+                         f"integer")
+    return manifest
 
 
 def _read_log(path, phi, suite_seed=None):
     """Records of the run log at ``path``, a file or the bench directory
     holding it; a ValueError if it is missing, holds no parseable record,
-    holds one run twice at one budget (two budgets: the ERT tables refuse),
-    or the manifest.json beside it (if any) gives a phi above ``phi`` or
-    a suite seed other than ``suite_seed`` (if given)."""
+    holds one :class:`RunKey` twice at one budget (two budgets: the ERT
+    tables refuse), or the manifest.json beside it (if any) cannot be read
+    (:func:`_read_manifest`) or gives a phi above ``phi`` or a suite seed
+    other than ``suite_seed`` (if given)."""
     log_path = Path(path)
     log_path = log_path / "runs.jsonl" if log_path.is_dir() else log_path
     if not log_path.exists():
         raise ValueError(f"no run log at {log_path}")
     manifest_path = log_path.parent / "manifest.json"
-    manifest = (json.loads(manifest_path.read_text())
-                if manifest_path.exists() else {})
+    manifest = _read_manifest(manifest_path)
     # a run stopped at a coarser phi reads as a failure at this one
     if manifest.get("phi", phi) > phi:
         raise ValueError(f"{manifest_path} gives phi {manifest['phi']:g}, "
@@ -288,11 +298,10 @@ def _read_log(path, phi, suite_seed=None):
         raise ValueError("zero parseable log records")
     seen = set()
     for rec in records:
-        key = (*_run_key(rec), rec["budget"])
+        key = (RunKey.of_record(rec), rec["budget"])
         if key in seen:
-            a, f, d, i, r, budget = key
-            raise ValueError(f"{log_path} holds {a} F{f} {d}D instance {i} "
-                             f"run {r} at budget {budget} twice")
+            raise ValueError(f"{log_path} holds {key[0]} at budget "
+                             f"{key[1]} twice")
         seen.add(key)
     return records
 
@@ -304,8 +313,7 @@ def cmd_analyze(args):
     reports = build_vbs_reports(tables, DEFAULT_GRID.snap_exponent(args.phi))
     for name, table in (("ert_table", ert_table(tables)),
                         ("vbs_report", vbs_table(reports)),
-                        ("use_cases", use_case_table(reports)),
-                        ("heatmap", heatmap_table(reports))):
+                        ("use_cases", use_case_table(reports))):
         _write_table(outdir / f"{name}.tsv", *table)
     _write_manifest(outdir, args, len(records))
     print(f"analyzed {len(records)} records -> {len(reports)} cells "
@@ -355,15 +363,13 @@ def _plan_cells(args, static_tables):
 def _static_records(args):
     """Records of the static log --logs; a ValueError if they cannot stand
     beside this switch's runs: :func:`_read_log` refuses them at --phi and
-    --suite-seed, or one is a switch run."""
+    --suite-seed, or one is a switch run, named by its :class:`RunKey`."""
     records = _read_log(args.logs, args.phi, args.suite_seed)
     # the report would read a switch run as a static run
     for rec in records:
         if "switch_eval" in rec:
-            a, f, d, i, r = _run_key(rec)
-            raise ValueError(f"--logs {args.logs} holds the switch run {a} "
-                             f"F{f} {d}D instance {i} run {r}: give it a "
-                             f"bench log")
+            raise ValueError(f"--logs {args.logs} holds the switch run "
+                             f"{RunKey.of_record(rec)}: give it a bench log")
     return records
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,41 @@ class SwitchPlan:
 
     def label(self) -> str:
         return f"{self.a1.algorithm}>{self.a2.algorithm}@{self.tau:.6g}"
+
+
+class RunKey(NamedTuple):
+    """A run's identity: it sorts a log, refuses a run given twice, names a
+    run as a message does and seeds it."""
+    label: str
+    function: int
+    dimension: int
+    instance: int | None
+    run: int | None
+
+    @classmethod
+    def of(cls, task):
+        """The key of the record a task (plan or config, problem, budget,
+        run) writes."""
+        plan, problem, _, run = task
+        label = plan.label() if isinstance(plan, SwitchPlan) else plan.algorithm
+        return cls(label, *astuple(problem.id), run)
+
+    @classmethod
+    def of_record(cls, rec):
+        """A record's key; None for an instance or run index it lacks."""
+        return cls(rec["algorithm_label"], rec["function_id"],
+                   rec["dimension"], rec.get("instance"), rec.get("run_index"))
+
+    def seed(self, master):
+        """Seeded by A1, so that a switch run's A1 replays its static run."""
+        return cell_seed(master, self.label.partition(">")[0], self.function,
+                         self.dimension, self.instance, self.run)
+
+    def __str__(self):
+        name, _, tau = self.label.partition("@")
+        tau = f" tau {tau}" if tau else ""
+        return (f"{name} F{self.function} {self.dimension}D{tau} instance "
+                f"{self.instance} run {self.run}")
 
 
 @dataclass
@@ -211,37 +247,33 @@ def _self_scheduled(worker, tasks, jobs):
 def _switch_task(seed, task):
     """Worker: one switch run.  Top level so it pickles for a worker."""
     plan, problem, budget, run = task
-    a1_seed = cell_seed(seed, plan.a1.algorithm, *astuple(problem.id), run)
-    return run_switch(plan, problem, budget=budget, seed=a1_seed,
+    return run_switch(plan, problem, budget=budget,
+                      seed=RunKey.of(task).seed(seed),
                       run_index=run).to_record()
 
 
 def run_switch_tasks(tasks, seed, jobs=1):
     """Run tasks ``(plan, problem, budget, run)`` over ``jobs`` processes,
-    A1 seeded from ``seed`` as bench seeds its static run, which it replays.
+    each seeded by its :class:`RunKey`, so that A1 replays its static run.
 
-    Refuses an empty batch, and two tasks of one plan label, problem and
-    run: their records would pool.  Returns (records, failures) in task
-    order, each failure one line naming its run.
+    Refuses an empty batch, and two tasks of one run key (plan label,
+    problem and run): their records would pool.  Returns (records,
+    failures) in task order, each failure one line naming its run key.
     """
     if not tasks:
         raise ValueError("no switch run to execute: no plan, or no tau above phi")
     seen = set()
-    for plan, problem, *_, run in tasks:
-        key = (plan.label(), problem.id, run)
+    for task in tasks:
+        key = RunKey.of(task)
         if key in seen:
             raise ValueError(
-                f"two {plan.a1.algorithm}>{plan.a2.algorithm} plans on "
-                f"F{problem.id.function_id} {problem.id.dimension}D put their "
-                f"switching points on the same grid target {plan.tau_exponent}")
+                f"two plans put their switching points on the same grid "
+                f"target {task[0].tau_exponent}: both give the run {key}")
         seen.add(key)
     records, failures = run_tasks(
         functools.partial(_switch_task, seed), tasks, jobs)
-    return records, [
-        f"{plan.a1.algorithm}>{plan.a2.algorithm} F{problem.id.function_id} "
-        f"{problem.id.dimension}D tau {plan.tau:g} instance "
-        f"{problem.id.instance} run {run}: {message}"
-        for (plan, problem, *_, run), message in failures]
+    return records, [f"{RunKey.of(task)}: {message}"
+                     for task, message in failures]
 
 
 def sweep_tau(

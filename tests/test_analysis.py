@@ -15,7 +15,6 @@ from dynswitch.analysis import (
     ert,
     ert_curve,
     gains,
-    heatmap_table,
     relative_gain,
     switch_report,
     tau_summary,
@@ -322,18 +321,6 @@ def report(fid, dim, gain, a1="A", a2="B"):
         dyn_theoretical_ert=100.0 * (1 - gain) if math.isfinite(gain) else math.inf,
         theoretical_gain=gain,
     )
-
-
-def test_heatmap_capping_and_flags():
-    reports = [
-        report(1, 2, 0.4),
-        report(8, 2, -0.3),
-        report(10, 2, -math.inf),
-    ]
-    header, rows = heatmap_table(reports)
-    assert header == ("function_id", "dimension", "value", "negative",
-                      "infinite")
-    assert rows == [(1, 2, 0.4, 0, 0), (8, 2, 0.0, 1, 0), (10, 2, 0.0, 0, 1)]
 
 
 def test_use_case_table_excludes_identity():

@@ -22,6 +22,7 @@ from dynswitch.analysis import VbsReport
 from dynswitch.cli import cell_seed, main
 from dynswitch.optimizers import ALGORITHMS, OptimizerConfig
 from dynswitch.problems import ProblemId, instantiate
+from dynswitch.switching import RunKey, run_tasks
 from dynswitch.tracing import (DEFAULT_GRID, RunTrace, load_records,
                                record_to_json)
 
@@ -129,8 +130,7 @@ def analysis_dir(bench_dir, tmp_path_factory):
 
 
 def test_analyze_artifacts(analysis_dir):
-    for name in ("ert_table.tsv", "vbs_report.tsv", "use_cases.tsv",
-                 "heatmap.tsv"):
+    for name in ("ert_table.tsv", "vbs_report.tsv", "use_cases.tsv"):
         assert (analysis_dir / name).exists()
     lines = (analysis_dir / "ert_table.tsv").read_text().strip().split("\n")
     header = lines[0].split("\t")
@@ -320,6 +320,85 @@ def test_analyze_refuses_a_log_of_a_coarser_phi(tmp_path, capsys):
     (static / "manifest.json").unlink()
     assert main(["analyze", "--logs", str(static / "runs.jsonl"),
                  "--out", str(tmp_path / "unchecked")]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "switch"])
+@pytest.mark.parametrize("content, named", [
+    # each used to end in a traceback
+    ("[1]", "must hold a JSON object, not list"),
+    ('{"phi": "x"}', "gives phi 'x': not a positive finite number"),
+    # used to name no file
+    ("not json", "is not a JSON manifest: Expecting value"),
+    # used to be refused as "gives suite_seed 0, not --suite-seed 0"
+    ('{"suite_seed": "0"}', "gives suite_seed '0': not an integer"),
+    # used to be refused as "gives phi 1, above --phi 1e-08"
+    ('{"phi": true}', "gives phi True: not a positive finite number"),
+    # used to pass: a NaN is above no phi
+    ('{"phi": NaN}', "gives phi nan: not a positive finite number"),
+])
+def test_a_manifest_that_cannot_be_read_is_refused_by_name(
+        command, content, named, bench_dir, tmp_path, capsys):
+    static = tmp_path / "static"
+    static.mkdir()
+    (static / "runs.jsonl").write_bytes((bench_dir / "runs.jsonl").read_bytes())
+    (static / "manifest.json").write_text(content)
+    argv = {"analyze": [],
+            "switch": ["--plan", "BFGS:CMA-ES:1", "--functions", "1",
+                       "--dims", "2", "--runs", "1", "--instances", "1",
+                       "--budget-mult", "2000"]}[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--logs", str(static),
+                 "--out", str(out)]) == 1
+    assert (f"error: {static / 'manifest.json'} {named}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # a manifest without phi or suite_seed is read
+    (static / "manifest.json").write_text('{"records": 12}')
+    assert main([command, *argv, "--logs", str(static),
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--algorithms", "BFGS,CMA-ES", "--functions", "1,10",
+     "--dims", "2"],
+    ["switch", "--plan", "BFGS:CMA-ES:1e-2", "--plan", "CMA-ES:BFGS:1",
+     "--functions", "1,10", "--dims", "2"],
+    ["sweep-tau", "--a1", "PSO", "--a2", "BFGS", "--function", "10",
+     "--dim", "2", "--tau-exponents=0,-1,-2,-3"],
+])
+def test_run_key_maps_a_task_to_its_record_and_its_seed(command, tmp_path,
+                                                        monkeypatch):
+    # a resume skips a task by its record's key; a replay seeds a record's
+    # run from its key: both maps must agree with what the workers do
+    tasks = []
+
+    def capture(worker, batch, jobs):
+        tasks.extend(batch)
+        return run_tasks(worker, batch, jobs)
+
+    monkeypatch.setattr(cli, "run_tasks", capture)
+    monkeypatch.setattr(switching, "run_tasks", capture)
+    out = tmp_path / "out"
+    assert main([*command, "--instances", "1,2", "--runs", "2",
+                 "--budget-mult", "50", "--seed", "7",
+                 "--out", str(out)]) == 0
+    [log] = out.glob("*.jsonl")
+    records = {RunKey.of_record(rec): rec for rec in load_records(log)[0]}
+    assert len(records) == len(tasks) == 16
+    for task in tasks:
+        plan, problem, _, run = task
+        a1 = getattr(plan, "a1", plan).algorithm
+        seed = cell_seed(7, a1, *astuple(problem.id), run)
+        key = RunKey.of(task)
+        assert key.seed(7) == seed
+        assert RunKey.of_record(records[key]).seed(7) == seed
+
+
+def test_run_key_names_a_run_as_a_failed_line_does():
+    assert str(RunKey("BFGS", 1, 2, 2, 1)) == "BFGS F1 2D instance 2 run 1"
+    switch = RunKey("BFGS>CMA-ES@10", 10, 2, 1, 0)
+    assert str(switch) == "BFGS>CMA-ES F10 2D tau 10 instance 1 run 0"
+    assert switch.seed(0) == RunKey("BFGS", 10, 2, 1, 0).seed(0)
 
 
 def test_switch_from_analysis_reads_back_the_vbs_table(bench_dir, tmp_path,
@@ -1358,8 +1437,9 @@ def test_switch_refuses_a_switch_log_as_its_static_log(command, log, label,
     assert main(["switch", "--plan", "BFGS:CMA-ES:1", "--functions", "1",
                  "--dims", "2", *small, "--logs", str(path),
                  "--out", str(out)]) == 1
-    assert (f"--logs {path} holds the switch run {label} F1 2D instance 1 "
-            f"run 0" in capsys.readouterr().err)
+    pair, tau = label.split("@")
+    assert (f"--logs {path} holds the switch run {pair} F1 2D tau {tau} "
+            f"instance 1 run 0" in capsys.readouterr().err)
     assert not out.exists()
     # analyze still reads switch and sweep logs
     assert main(["analyze", "--logs", str(path),
