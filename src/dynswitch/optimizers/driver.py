@@ -75,7 +75,8 @@ class OptimizerConfig:
         signature = inspect.signature(ALGORITHMS[self.algorithm])
         takes = [name for name in signature.parameters
                  if name not in ("dim", "rng", "x0", "inv_hessian", "mean", "C",
-                                 "positions", "velocities", "population")]
+                                 "positions", "velocities", "population",
+                                 "samples")]
         unknown = sorted(set(self.overrides) - set(takes))
         if unknown:
             raise ValueError(f"{self.algorithm} takes no setting "

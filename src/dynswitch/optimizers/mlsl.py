@@ -69,7 +69,7 @@ class Mlsl(Optimizer):
     def __init__(self, dim, rng, population_size=None,
                  reduced_fraction=REDUCED_FRACTION,
                  local_budget_fraction=LOCAL_BUDGET_FRACTION,
-                 f_tol=POWELL_F_TOL):
+                 f_tol=POWELL_F_TOL, samples=None):
         super().__init__(dim, rng)
         if population_size is None:
             population_size = POPULATION_MULTIPLIER * dim
@@ -86,8 +86,9 @@ class Mlsl(Optimizer):
         self.reduced_fraction = reduced_fraction
         self.local_budget_fraction = local_budget_fraction
         self.f_tol = f_tol
-        self.sample_points = np.empty((0, dim))
-        self.sample_values = np.empty(0)
+        # a warm start's (points, values) seed the sample
+        self.sample_points, self.sample_values = samples or (
+            np.empty((0, dim)), np.empty(0))
         self.started = set()           # indices local searches started from
         self.minima = []               # (point, value) found by local search
 

@@ -139,7 +139,7 @@ def run_switch(
         switch_eval = ev.evals_used
         ws = extract(a1, ev.best_x, ev.best_f, ev.evals_used)
         rng2 = np.random.default_rng([seed, A2_SEED_SALT])
-        a2 = apply_warmstart(ws, plan.a1.algorithm, plan.a2, plan.policy, rng2)
+        a2 = apply_warmstart(ws, plan.a2, plan.policy, rng2)
         ev.stop_target = plan.phi
         if ev.best_precision <= plan.phi:
             phase2_reason = TERMINATED_TARGET

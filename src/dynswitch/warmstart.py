@@ -1,12 +1,17 @@
 """Information transfer across a switch point.
 
-Extracts an algorithm-agnostic bundle from a suspended optimizer and builds
-the successor's initial state from it.  BFGS -> CMA-ES and CMA-ES -> BFGS
-have a dedicated transfer in ``full`` mode: inverse Hessian <-> covariance
-with unit-determinant normalization, step-size from trajectory averaging.
-Every other pair and mode takes the generic transfer: A2 starts at the best
-point, and a PSO swarm or DE population keeps the predecessor's best
-members, padded with hyperbox draws around the best point.  None of these
+``extract`` bundles what the suspended optimizer holds: its best point and
+value, and the fields only its algorithm has (BFGS's inverse Hessian and
+iterates, CMA-ES's sigma and covariance, PSO's personal bests or DE's
+members).  ``apply_warmstart`` builds the successor from that bundle alone.
+A BFGS target starts at the best point, with beta * sigma^2 * C as its
+inverse Hessian when a covariance was handed over.  A CMA-ES target handed
+an inverse Hessian takes it, at unit determinant, as its covariance, with a
+trajectory-averaged step size and its mean at BFGS's last iterate; any
+other starts at the best point.  A PSO swarm or DE population keeps the
+best members handed over, padded with hyperbox draws around the best point,
+and MLSL's sample starts with the best point.  ``point_only`` mode drops the
+model (trajectory, inverse Hessian, sigma, covariance) first.  None of these
 operations performs function evaluations.
 """
 
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,9 +41,10 @@ DEFAULT_SIGMA = 0.5
 class WarmStartPolicy:
     """How A2 is built from A1's state at the switch.
 
-    ``full`` selects the dedicated BFGS -> CMA-ES and CMA-ES -> BFGS
-    transfers; ``point_only`` gives those two pairs the generic transfer.
-    The other 18 ordered pairs take the generic transfer in both modes.
+    ``full`` hands over every field ``extract`` took; ``point_only`` drops
+    the model fields (trajectory, inverse Hessian, sigma, covariance).  Only
+    BFGS -> CMA-ES and CMA-ES -> BFGS read them, so every other ordered pair,
+    A -> A included, builds the same A2 in both modes.
     ``early_switch``: whether a run whose A1 converged above tau hands over.
     """
 
@@ -139,39 +145,28 @@ def warmstart_cmaes_from_bfgs(ws: WarmStartState, policy: WarmStartPolicy,
     return make_optimizer(a2, dim, rng, mean=last_point, sigma=sigma, C=cov)
 
 
-def warmstart_bfgs_from_cmaes(ws: WarmStartState, policy: WarmStartPolicy,
-                              rng, a2=OptimizerConfig("BFGS")) -> Bfgs:
-    """Inverse Hessian = beta * sigma^2 * C, started at the best point."""
-    dim = ws.best_point.size
-    h0 = policy.hessian_scale * ws.sigma ** 2 * ws.covariance
-    return make_optimizer(a2, dim, rng, x0=ws.best_point.copy(),
-                          inv_hessian=h0)
-
-
-def _population_size(a2: OptimizerConfig, dim):
-    """Swarm or population size, as the PSO and DE constructors choose and
-    check it."""
-    if a2.algorithm == "PSO":
-        return resolve_swarm_size(a2.overrides.get("swarm_size"))
-    return resolve_population_size(dim, a2.overrides.get("population_size"))
-
-
-def warmstart_generic(ws: WarmStartState, a2: OptimizerConfig,
-                      policy: WarmStartPolicy, rng):
-    """Transfer for every pair and mode without a dedicated procedure; a
-    PSO/DE target from a source without a population is all hyperbox."""
+def apply_warmstart(ws: WarmStartState, a2: OptimizerConfig,
+                    policy: WarmStartPolicy, rng):
+    """A2, built by ``make_optimizer`` from its config and the fields of
+    ``ws``, which name no source: ``extract`` sets ``inv_hessian`` only for
+    BFGS and ``covariance`` only for CMA-ES.  The handed-over state wins over
+    a setting of the same name (sigma); ``OptimizerConfig`` refuses the rest
+    of it as a setting.
+    """
+    if policy.mode == MODE_POINT_ONLY:
+        ws = replace(ws, recent_trajectory=None, inv_hessian=None,
+                     sigma=None, covariance=None)
     dim = ws.best_point.size
     target = a2.algorithm
     if target == "BFGS":
-        return make_optimizer(a2, dim, rng, x0=ws.best_point.copy())
-    if target == "MLSL":
-        # a fresh sampler, pre-seeded with the predecessor's best point so
-        # the reduced-set logic is aware of it
-        opt = make_optimizer(a2, dim, rng)
-        opt.sample_points = np.array([ws.best_point], dtype=float)
-        opt.sample_values = np.array([ws.best_value], dtype=float)
-        return opt
+        # inverse Hessian = beta * sigma^2 * C, or the identity
+        h0 = (None if ws.covariance is None
+              else policy.hessian_scale * ws.sigma ** 2 * ws.covariance)
+        return make_optimizer(a2, dim, rng, x0=ws.best_point.copy(),
+                              inv_hessian=h0)
     if target == "CMA-ES":
+        if ws.inv_hessian is not None:
+            return warmstart_cmaes_from_bfgs(ws, policy, rng, a2)
         sigma = DEFAULT_SIGMA
         if ws.population is not None:
             spread = float(np.mean(np.std(ws.population[0], axis=0)))
@@ -179,41 +174,31 @@ def warmstart_generic(ws: WarmStartState, a2: OptimizerConfig,
                 sigma = 0.5 * spread
         return make_optimizer(a2, dim, rng, mean=ws.best_point.copy(),
                               sigma=sigma)
-    if target in ("PSO", "DE"):
-        size = _population_size(a2, dim)
-        points, values = ws.population or (np.empty((0, dim)), np.empty(0))
-        carried = points[np.argsort(values, kind="stable")[:size]]
-        n_carried = len(carried)
-        # padded with uniform draws in the eta-box around the best point
-        eta = policy.hyperbox_radius
-        low = np.clip(ws.best_point - eta, DOMAIN_LOW, DOMAIN_HIGH)
-        high = np.clip(ws.best_point + eta, DOMAIN_LOW, DOMAIN_HIGH)
-        pad = rng.uniform(low, high, size=(size - n_carried, dim))
-        positions = np.clip(np.vstack([carried, pad]), DOMAIN_LOW, DOMAIN_HIGH)
-        # make sure the best point itself is present
-        best_clipped = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
-        if not np.any(np.all(positions == best_clipped[None, :], axis=1)):
-            positions[-1] = best_clipped
-        if target == "DE":
-            return make_optimizer(a2, dim, rng, population=positions)
-        velocities = np.zeros_like(positions)
-        velocities[n_carried:] = rng.uniform(-eta, eta, size=pad.shape)
-        return make_optimizer(a2, dim, rng, positions=positions,
-                              velocities=velocities)
-    raise ValueError(f"unsupported warm-start target {target!r}")
-
-
-def apply_warmstart(ws: WarmStartState, source: str, a2: OptimizerConfig,
-                    policy: WarmStartPolicy, rng):
-    """A2, built by ``make_optimizer`` from its config and the state handed
-    over from ``source``: the dedicated model transfer for BFGS -> CMA-ES
-    and CMA-ES -> BFGS in ``full`` mode, the generic transfer for everything
-    else.  The handed-over state wins over a setting of the same name
-    (sigma); ``OptimizerConfig`` refuses the rest of it as a setting.
-    """
-    if policy.mode == MODE_FULL:
-        if (source, a2.algorithm) == ("BFGS", "CMA-ES"):
-            return warmstart_cmaes_from_bfgs(ws, policy, rng, a2)
-        if (source, a2.algorithm) == ("CMA-ES", "BFGS"):
-            return warmstart_bfgs_from_cmaes(ws, policy, rng, a2)
-    return warmstart_generic(ws, a2, policy, rng)
+    if target == "MLSL":
+        # the best point seeds the sample, so the reduced-set logic knows it
+        return make_optimizer(a2, dim, rng, samples=(
+            np.array([ws.best_point], dtype=float),
+            np.array([ws.best_value], dtype=float)))
+    # PSO or DE: the best members handed over, padded with uniform draws in
+    # the eta-box around the best point; all draws without a population
+    size = (resolve_swarm_size(a2.overrides.get("swarm_size"))
+            if target == "PSO" else
+            resolve_population_size(dim, a2.overrides.get("population_size")))
+    points, values = ws.population or (np.empty((0, dim)), np.empty(0))
+    carried = points[np.argsort(values, kind="stable")[:size]]
+    n_carried = len(carried)
+    eta = policy.hyperbox_radius
+    low = np.clip(ws.best_point - eta, DOMAIN_LOW, DOMAIN_HIGH)
+    high = np.clip(ws.best_point + eta, DOMAIN_LOW, DOMAIN_HIGH)
+    pad = rng.uniform(low, high, size=(size - n_carried, dim))
+    positions = np.clip(np.vstack([carried, pad]), DOMAIN_LOW, DOMAIN_HIGH)
+    # make sure the best point itself is present
+    best_clipped = np.clip(ws.best_point, DOMAIN_LOW, DOMAIN_HIGH)
+    if not np.any(np.all(positions == best_clipped[None, :], axis=1)):
+        positions[-1] = best_clipped
+    if target == "DE":
+        return make_optimizer(a2, dim, rng, population=positions)
+    velocities = np.zeros_like(positions)
+    velocities[n_carried:] = rng.uniform(-eta, eta, size=pad.shape)
+    return make_optimizer(a2, dim, rng, positions=positions,
+                          velocities=velocities)

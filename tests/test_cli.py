@@ -983,6 +983,7 @@ def test_every_typed_option_refuses_a_non_number_naming_its_flag(
      "PSO takes no setting 'positions'"),
     ({"PSO": {"velocities": [[0, 0]]}}, "PSO takes no setting 'velocities'"),
     ({"DE": {"population": [[0, 0]] * 4}}, "DE takes no setting 'population'"),
+    ({"MLSL": {"samples": 1}}, "MLSL takes no setting 'samples'"),
     # a name given twice, as JSON text: an alias and its canonical name, and
     # a key repeated in one object; both used to keep the last entry alone
     ('{"cmaes": {"population_size": 4}, "CMA-ES": {"population_size": 12}}',

@@ -141,7 +141,7 @@ def test_local_search_cap_is_fraction_of_budget(monkeypatch):
     static = make_optimizer(OptimizerConfig("MLSL"), 2,
                             np.random.default_rng(0))
     ws = WarmStartState(best_point=np.array([1.0, -2.0]), best_value=3.0)
-    switched = apply_warmstart(ws, "CMA-ES", OptimizerConfig("MLSL"),
+    switched = apply_warmstart(ws, OptimizerConfig("MLSL"),
                                WarmStartPolicy(), np.random.default_rng(0))
     for opt in (static, switched):
         assert set(_local_caps(monkeypatch, opt)) == {400}

@@ -1,8 +1,10 @@
+import copy
 from collections import deque
 
 import numpy as np
 import pytest
 
+from dynswitch import warmstart
 from dynswitch.optimizers import Bfgs, Cmaes, De, Mlsl, OptimizerConfig, Pso
 from dynswitch.tracing import BudgetedEvaluator, StopRun
 from dynswitch.warmstart import (
@@ -15,7 +17,6 @@ from dynswitch.warmstart import (
     apply_warmstart,
     extract,
     unit_determinant,
-    warmstart_bfgs_from_cmaes,
     warmstart_cmaes_from_bfgs,
 )
 
@@ -102,7 +103,7 @@ def test_generic_transfer_carries_the_best_members_in_value_order():
     ws = WarmStartState(best_point=points[4], best_value=0.5,
                         population=(points, values))
     de = apply_warmstart(
-        ws, "PSO", OptimizerConfig("DE", {"population_size": 4}),
+        ws, OptimizerConfig("DE", {"population_size": 4}),
         default_policy(), np.random.default_rng(0))
     assert np.array_equal(de.population, points[[4, 1, 3, 5]])
 
@@ -164,7 +165,7 @@ def test_cmaes_from_bfgs_point_only():
         inv_hessian=np.diag([4.0, 1.0]),
         recent_trajectory=[np.array([9.0, 9.0])],
     )
-    opt = apply_warmstart(ws, "BFGS", OptimizerConfig("CMA-ES"),
+    opt = apply_warmstart(ws, OptimizerConfig("CMA-ES"),
                           default_policy(mode=MODE_POINT_ONLY),
                           np.random.default_rng(0))
     assert np.array_equal(opt.mean, [1.0, 2.0])
@@ -198,10 +199,11 @@ def test_bfgs_from_cmaes_scaling():
         sigma=0.3, covariance=C,
     )
     policy = default_policy(hessian_scale=2.0)
-    opt = warmstart_bfgs_from_cmaes(ws, policy, np.random.default_rng(0))
+    opt = apply_warmstart(ws, OptimizerConfig("BFGS"), policy,
+                          np.random.default_rng(0))
     assert np.allclose(opt.inv_hessian, 2.0 * 0.3 ** 2 * C)
     assert np.array_equal(opt.x, [0.1, 0.2])
-    point_only = apply_warmstart(ws, "CMA-ES", OptimizerConfig("BFGS"),
+    point_only = apply_warmstart(ws, OptimizerConfig("BFGS"),
                                  default_policy(mode=MODE_POINT_ONLY),
                                  np.random.default_rng(0))
     assert np.allclose(point_only.inv_hessian, np.eye(2))
@@ -212,13 +214,13 @@ def test_hyperbox_population_geometry():
     best = np.array([2.0, -1.0])
     ws = WarmStartState(best_point=best, best_value=1.0)
     policy = default_policy(hyperbox_radius=0.25)
-    pso = apply_warmstart(ws, "MLSL", OptimizerConfig("PSO"), policy,
+    pso = apply_warmstart(ws, OptimizerConfig("PSO"), policy,
                           np.random.default_rng(0))
     assert pso.positions.shape == (40, 2)
     assert np.any(np.all(pso.positions == best[None, :], axis=1))
     assert np.all(np.abs(pso.positions - best[None, :]) <= 0.25 + 1e-12)
     assert np.all(np.abs(pso.velocities) <= 0.25)
-    de = apply_warmstart(ws, "MLSL", OptimizerConfig("DE"), policy,
+    de = apply_warmstart(ws, OptimizerConfig("DE"), policy,
                          np.random.default_rng(0))
     assert de.population.shape == (10, 2)
     assert np.any(np.all(de.population == best[None, :], axis=1))
@@ -229,7 +231,7 @@ def test_hyperbox_clips_at_domain_boundary():
     best = np.array([4.95, -4.95])
     ws = WarmStartState(best_point=best, best_value=1.0)
     policy = default_policy(hyperbox_radius=0.5)
-    pso = apply_warmstart(ws, "MLSL", OptimizerConfig("PSO"), policy,
+    pso = apply_warmstart(ws, OptimizerConfig("PSO"), policy,
                           np.random.default_rng(0))
     assert np.all(pso.positions <= 5.0)
     assert np.all(pso.positions >= -5.0)
@@ -242,7 +244,7 @@ def test_cmaes_from_mlsl_is_mean_only():
     ws = extract(mlsl, ev.best_x, ev.best_f, ev.trace.evals_used)
     assert ws.population is None
     for mode in (MODE_FULL, MODE_POINT_ONLY):
-        opt = apply_warmstart(ws, "MLSL", OptimizerConfig("CMA-ES"),
+        opt = apply_warmstart(ws, OptimizerConfig("CMA-ES"),
                               default_policy(mode=mode),
                               np.random.default_rng(0))
         assert np.array_equal(opt.mean, ev.best_x)
@@ -254,11 +256,11 @@ def test_generic_population_transfer_keeps_best_point():
     pop = (np.array([[float(i), 0.0] for i in range(5)]), np.arange(5.0))
     ws = WarmStartState(best_point=np.array([0.0, 0.0]), best_value=0.0,
                         population=pop)
-    de = apply_warmstart(ws, "PSO", OptimizerConfig("DE"), default_policy(),
+    de = apply_warmstart(ws, OptimizerConfig("DE"), default_policy(),
                          np.random.default_rng(0))
     assert de.population.shape == (10, 2)
     assert np.any(np.all(de.population == 0.0, axis=1))
-    pso = apply_warmstart(ws, "DE", OptimizerConfig("PSO"), default_policy(),
+    pso = apply_warmstart(ws, OptimizerConfig("PSO"), default_policy(),
                           np.random.default_rng(0))
     # carried members start at rest, padded ones get hyperbox velocities
     assert np.all(pso.velocities[:5] == 0.0)
@@ -266,7 +268,7 @@ def test_generic_population_transfer_keeps_best_point():
 
 def test_generic_transfer_into_mlsl_seeds_best_point():
     ws = WarmStartState(best_point=np.array([1.0, -2.0]), best_value=3.0)
-    opt = apply_warmstart(ws, "CMA-ES", OptimizerConfig("MLSL"),
+    opt = apply_warmstart(ws, OptimizerConfig("MLSL"),
                           default_policy(), np.random.default_rng(0))
     assert np.array_equal(opt.sample_points, [[1.0, -2.0]])
     assert opt.sample_values[0] == 3.0
@@ -284,7 +286,7 @@ def test_no_evaluations_during_transfer():
     ev = run_a_little(opt, problem, steps=3)
     before = calls["n"]
     ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
-    apply_warmstart(ws, "CMA-ES", OptimizerConfig("BFGS"),
+    apply_warmstart(ws, OptimizerConfig("BFGS"),
                     default_policy(), np.random.default_rng(1))
     assert calls["n"] == before
 
@@ -311,7 +313,7 @@ def test_full_transfer_beats_point_only_after_bfgs():
             (warm_costs, default_policy()),
             (cold_costs, default_policy(mode=MODE_POINT_ONLY)),
         ):
-            c = apply_warmstart(ws, "BFGS", OptimizerConfig("CMA-ES"),
+            c = apply_warmstart(ws, OptimizerConfig("CMA-ES"),
                                 policy, np.random.default_rng(seed))
             ev2 = BudgetedEvaluator(problem, 100_000, stop_target=1e-9)
             try:
@@ -329,22 +331,22 @@ def test_a2_overrides_apply_and_warm_state_wins():
                         population=(best[None, :], np.array([1.0])))
     # a config holds no starting state (mean, x0): only sigma can clash
     cma = apply_warmstart(
-        ws, "MLSL", OptimizerConfig("CMA-ES", {"population_size": 12,
-                                               "sigma": 3.0}),
+        ws, OptimizerConfig("CMA-ES", {"population_size": 12,
+                                       "sigma": 3.0}),
         default_policy(), np.random.default_rng(0))
     assert cma.lam == 12
     assert np.array_equal(cma.mean, best) and cma.sigma == DEFAULT_SIGMA
     bfgs = apply_warmstart(
-        ws, "PSO", OptimizerConfig("BFGS", {"gradient_tolerance": 1e-3}),
+        ws, OptimizerConfig("BFGS", {"gradient_tolerance": 1e-3}),
         default_policy(), np.random.default_rng(0))
     assert bfgs.gradient_tolerance == 1e-3 and np.array_equal(bfgs.x, best)
     # population sizes follow the overrides, with members carried or not
     for state in (ws, WarmStartState(best_point=best, best_value=1.0)):
         de = apply_warmstart(
-            state, "MLSL", OptimizerConfig("DE", {"population_size": 7}),
+            state, OptimizerConfig("DE", {"population_size": 7}),
             default_policy(), np.random.default_rng(0))
         pso = apply_warmstart(
-            state, "MLSL", OptimizerConfig("PSO", {"swarm_size": 9}),
+            state, OptimizerConfig("PSO", {"swarm_size": 9}),
             default_policy(), np.random.default_rng(0))
         assert de.population.shape == (7, 2)
         assert pso.positions.shape == (9, 2)
@@ -373,12 +375,37 @@ def test_mode_changes_only_the_model_transfers(source):
     opt = ALGORITHMS[source](2, np.random.default_rng(0))
     ev = run_a_little(opt, sphere(), steps=3)
     ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
-    for target in (t for t in ALGORITHMS if t != source):
+    # A -> A hands over no model either
+    for target in ALGORITHMS:
         full, point_only = (
-            _start_state(apply_warmstart(ws, source, OptimizerConfig(target),
+            _start_state(apply_warmstart(ws, OptimizerConfig(target),
                                          default_policy(mode=mode),
                                          np.random.default_rng(1)))
             for mode in (MODE_FULL, MODE_POINT_ONLY))
         model_transfer = (source, target) in (("BFGS", "CMA-ES"),
                                               ("CMA-ES", "BFGS"))
         assert (full != point_only) == model_transfer, (source, target)
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_POINT_ONLY])
+@pytest.mark.parametrize("target", ALGORITHMS)
+@pytest.mark.parametrize("source", ALGORITHMS)
+def test_a2_is_what_make_optimizer_built(source, target, mode, monkeypatch):
+    # make_optimizer builds A2 from its whole start state: nothing is set on
+    # the optimizer after it returns
+    opt = ALGORITHMS[source](2, np.random.default_rng(0))
+    ev = run_a_little(opt, sphere(), steps=3)
+    ws = extract(opt, ev.best_x, ev.best_f, ev.trace.evals_used)
+    built, make = [], warmstart.make_optimizer
+
+    def spy(*args, **kwargs):
+        a2 = make(*args, **kwargs)
+        built.append((a2, copy.deepcopy(_start_state(a2))))
+        return a2
+
+    monkeypatch.setattr(warmstart, "make_optimizer", spy)
+    a2 = apply_warmstart(ws, OptimizerConfig(target),
+                         default_policy(mode=mode), np.random.default_rng(1))
+    [(made, state)] = built
+    assert a2 is made
+    assert _start_state(a2) == state

@@ -3,7 +3,8 @@
     python tools/output_digests.py [--src CHECKOUT/src] [--jobs N]
 
 Runs bench, analyze, switch (the bench's dynamic virtual best, explicit
-plans, point_only mode without early switches, plans into each algorithm
+plans, point_only mode without early switches, point_only mode on the model
+transfers and on plans into CMA-ES and MLSL, plans into each algorithm
 with settings for all five from a ``--config``) and sweep-tau on small
 inputs, each in a new process with ``--src`` first on its import path,
 inside a temporary directory, with relative ``--out`` and ``--config``
@@ -52,6 +53,11 @@ COMMANDS = [
     ("switch-point", ["switch", "--plan", "PSO:BFGS:1e-2", "--functions",
                       "10,21", "--dims", "3", "--warmstart-mode",
                       "point_only", "--no-early-switch", *SMALL]),
+    ("switch-point-models", ["switch", "--plan", "BFGS:CMA-ES:1e-2",
+                             "--plan", "CMA-ES:BFGS:1", "--plan",
+                             "DE:CMA-ES:1", "--plan", "PSO:MLSL:1",
+                             "--functions", "1,10", "--dims", "2",
+                             "--warmstart-mode", "point_only", *SMALL]),
     ("switch-config", ["switch", "--plan", "BFGS:CMA-ES:1e-2", "--plan",
                        "PSO:DE:1", "--plan", "DE:PSO:1", "--plan",
                        "CMA-ES:BFGS:1", "--plan", "CMA-ES:MLSL:1",
