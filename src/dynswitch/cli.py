@@ -338,9 +338,11 @@ def _plan_cells(args, static_tables):
     """Plan cells (a1, a2, tau, f, d) in --plan order: an A1:A2:TAU on each
     --functions x --dims cell, vbs on each cell of ``static_tables`` whose
     dynamic virtual best at --phi switches, and that --functions and --dims
-    list when they are given."""
+    list when they are given.  A ValueError names why there are none."""
+    if not args.plan:
+        raise ValueError("no switch run to execute: switch needs --plan")
     cells = []
-    for plan in args.plan or ():
+    for plan in args.plan:
         if plan != "vbs":
             if not args.functions or not args.dims:
                 raise ValueError("--plan needs --functions and --dims")
@@ -357,6 +359,11 @@ def _plan_cells(args, static_tables):
                 if r.dyn_a1 != r.dyn_a2
                 and (not args.functions or r.function_id in args.functions)
                 and (not args.dims or r.dimension in args.dims)]
+    if not cells:  # every plan is vbs: an A1:A2:TAU gives cells
+        within = (" within --functions/--dims" if args.functions or args.dims
+                  else "")
+        raise ValueError(f"no switch run to execute: --plan vbs: no cell of "
+                         f"{args.logs} switches at --phi {args.phi:g}{within}")
     return cells
 
 
@@ -409,6 +416,9 @@ def cmd_sweep_tau(args):
     phi_exp = DEFAULT_GRID.snap_exponent(args.phi)
     exps = args.tau_exponents or [e for e in DEFAULT_GRID.exponents
                                   if e > phi_exp]
+    if not exps:
+        raise ValueError(f"no switch run to execute: no grid target above "
+                         f"--phi {args.phi:g} to switch at")
     problems = _problems(args, [(args.function, args.dim)]).values()
     records, failures = sweep_tau(
         configs[args.a1], configs[args.a2], list(problems), exps,

@@ -41,8 +41,8 @@ def finite_difference_gradient(ev, x, f_x=None):
 
 
 class Bfgs(Optimizer):
-    def __init__(self, dim, rng, x0=None, inv_hessian=None,
-                 gradient_tolerance=GRADIENT_TOLERANCE):
+    def __init__(self, dim, rng, gradient_tolerance=GRADIENT_TOLERANCE, *,
+                 x0=None, inv_hessian=None):
         super().__init__(dim, rng)
         if x0 is None:
             x0 = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, size=dim)
@@ -72,8 +72,6 @@ class Bfgs(Optimizer):
             self._model_before_reset = None
 
     def step(self, ev):
-        if self.finished:
-            return
         if self.f is None:
             self.f = ev(self.x)
         if self.grad is None:

@@ -26,8 +26,8 @@ def default_population_size(dim: int) -> int:
 
 
 class Cmaes(Optimizer):
-    def __init__(self, dim, rng, mean=None, sigma=0.5, C=None,
-                 population_size=None):
+    def __init__(self, dim, rng, sigma=0.5, population_size=None, *,
+                 mean=None, C=None):
         super().__init__(dim, rng)
         lam = (default_population_size(dim) if population_size is None
                else population_size)
@@ -83,8 +83,6 @@ class Cmaes(Optimizer):
         return vecs, np.sqrt(vals, out=vals)
 
     def step(self, ev):
-        if self.finished:
-            return
         B, D = self._sampling_transform()
         z = self.rng.standard_normal((self.lam, self.dim))
         z *= D

@@ -127,8 +127,9 @@ def _pcg64_draws(rng, n, d, crossover_rate):
 
 
 class De(Optimizer):
-    def __init__(self, dim, rng, population=None, population_size=None,
-                 crossover_rate=CROSSOVER_RATE, tol=CONVERGENCE_TOL):
+    def __init__(self, dim, rng, population_size=None,
+                 crossover_rate=CROSSOVER_RATE, tol=CONVERGENCE_TOL, *,
+                 population=None):
         super().__init__(dim, rng)
         size = resolve_population_size(
             dim, population_size if population is None else len(population))
@@ -156,8 +157,6 @@ class De(Optimizer):
                 self.finished = True
 
     def step(self, ev):
-        if self.finished:
-            return
         n, d = self.population.shape
         if not self._evaluated_once:
             for i in range(n):

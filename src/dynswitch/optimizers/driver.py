@@ -71,12 +71,11 @@ class OptimizerConfig:
         object.__setattr__(self, "algorithm", canonical_algorithm(self.algorithm))
         # refused here, before any run: names and types, then the ranges of
         # one build at d = 2, as no range a constructor refuses depends on d;
-        # the starting state is no setting: only a warm start hands it over
+        # the starting state is keyword-only and no setting: only a warm
+        # start hands it over
         signature = inspect.signature(ALGORITHMS[self.algorithm])
-        takes = [name for name in signature.parameters
-                 if name not in ("dim", "rng", "x0", "inv_hessian", "mean", "C",
-                                 "positions", "velocities", "population",
-                                 "samples")]
+        takes = [name for name, p in signature.parameters.items()
+                 if p.kind is p.POSITIONAL_OR_KEYWORD][2:]  # after dim, rng
         unknown = sorted(set(self.overrides) - set(takes))
         if unknown:
             raise ValueError(f"{self.algorithm} takes no setting "

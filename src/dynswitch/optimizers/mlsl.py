@@ -69,7 +69,7 @@ class Mlsl(Optimizer):
     def __init__(self, dim, rng, population_size=None,
                  reduced_fraction=REDUCED_FRACTION,
                  local_budget_fraction=LOCAL_BUDGET_FRACTION,
-                 f_tol=POWELL_F_TOL, samples=None):
+                 f_tol=POWELL_F_TOL, *, samples=None):
         super().__init__(dim, rng)
         if population_size is None:
             population_size = POPULATION_MULTIPLIER * dim
@@ -93,8 +93,6 @@ class Mlsl(Optimizer):
         self.minima = []               # (point, value) found by local search
 
     def step(self, ev):
-        if self.finished:
-            return
         new = self.rng.uniform(DOMAIN_LOW, DOMAIN_HIGH,
                                size=(self.population_size, self.dim))
         values = np.array([ev(x) for x in new])

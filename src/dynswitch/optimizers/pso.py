@@ -34,8 +34,8 @@ def inertia(t: float) -> float:
 
 
 class Pso(Optimizer):
-    def __init__(self, dim, rng, positions=None, velocities=None,
-                 swarm_size=SWARM_SIZE):
+    def __init__(self, dim, rng, swarm_size=SWARM_SIZE, *, positions=None,
+                 velocities=None):
         super().__init__(dim, rng)
         n = resolve_swarm_size(
             swarm_size if positions is None else len(positions))

@@ -48,11 +48,18 @@ class TargetGrid:
     targets = tuple(10.0 ** e for e in exponents)
 
     def snap_exponent(self, value: float) -> float:
-        """Exponent of the grid target nearest to ``value`` (a precision)."""
+        """Exponent of the grid target nearest to ``value`` (a precision);
+        refused more than half a step beyond the grid's ends."""
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(
                 f"precision targets must be positive and finite, got {value}")
         e = math.log10(value)
+        low, high = self.exponents[-1] - 0.1, self.exponents[0] + 0.1
+        # rounded as the grid's exponents are, so 10 ** -8.1 is in range
+        if not low <= round(e, 10) <= high:
+            raise ValueError(
+                f"precision {value} is more than half a step beyond the "
+                f"target grid {self.targets[-1]:g} to {self.targets[0]:g}")
         return min(self.exponents, key=lambda g: (abs(g - e), -g))
 
     def snap(self, value: float) -> float:

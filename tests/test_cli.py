@@ -868,6 +868,13 @@ SMALL_COMMANDS = {
      "--phi: precision targets must be positive and finite, got nan"),
     ("bench", "--phi", "inf",
      "--phi: precision targets must be positive and finite, got inf"),
+    # a target beyond the grid used to become the grid's end
+    ("bench", "--phi", "1e-12", "--phi: precision 1e-12 is more than half a "
+     "step beyond the target grid 1e-08 to 100"),
+    ("switch", "--plan", "BFGS:CMA-ES:1e6", "--plan: precision 1000000.0 is "
+     "more than half a step beyond the target grid 1e-08 to 100"),
+    ("sweep-tau", "--tau-exponents", "-9", "--tau-exponents: tau exponent "
+     "'-9': precision 1e-09 is more than half a step beyond the target grid"),
 ])
 def test_usage_errors_name_the_bad_value(command, option, value, named,
                                          tmp_path, capsys):
@@ -908,6 +915,14 @@ def test_usage_errors_name_the_bad_value(command, option, value, named,
      "precision targets must be positive and finite, got nan"),
     (["analyze", "--logs", "missing", "--phi", "nan"],
      "--phi: precision targets must be positive and finite, got nan"),
+    # an empty batch names its own cause, not one message for all three
+    (["switch", "--functions", "1", "--dims", "2", "--runs", "1",
+      "--instances", "1", "--budget-mult", "50"],
+     "error: no switch run to execute: switch needs --plan"),
+    (["sweep-tau", "--a1", "BFGS", "--a2", "CMA-ES", "--function", "1",
+      "--dim", "2", "--phi", "100", "--runs", "1", "--instances", "1",
+      "--budget-mult", "50"], "error: no switch run to execute: no grid "
+     "target above --phi 100 to switch at"),
 ])
 def test_refused_commands_leave_no_output_directory(argv, named, tmp_path,
                                                     capsys, monkeypatch):
@@ -1416,6 +1431,24 @@ def test_switch_from_analysis_refuses_a_selection_without_runs(
                  "--runs", "1", "--instances", "1", "--budget-mult", "50",
                  "--out", str(out)]) == 1
     assert "no switch run to execute" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("selection, within", [
+    ([], ""), (["--functions", "10"], " within --functions/--dims"),
+    (["--dims", "2"], " within --functions/--dims"),
+])
+def test_switch_from_analysis_names_why_no_cell_switches(selection, within,
+                                                         tmp_path, capsys):
+    # the log's one cell holds PSO alone: its virtual best does not switch
+    log = _log_of_cells(tmp_path, [])
+    out = tmp_path / "switch"
+    assert main(["switch", "--plan", "vbs", "--logs", str(log), *selection,
+                 "--runs", "1", "--instances", "1", "--budget-mult", "50",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no switch run to execute: --plan vbs: no cell of {log} "
+        f"switches at --phi 1e-08{within}\n")
     assert not out.exists()
 
 

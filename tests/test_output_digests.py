@@ -18,9 +18,11 @@ def test_the_listing_is_the_same_at_jobs_1_and_3():
     tool = _tool()
     serial = tool.listing(ROOT / "src", 1)
     assert tool.listing(ROOT / "src", 3) == serial
-    # every command ran to the end, and each wrote its log
+    # every command ran to the end, and each wrote its log, but for those
+    # refused before any run
     assert [line for line in serial if line.startswith("exit ")] == [
-        f"exit 0  {name}: exit code" for name, _ in tool.COMMANDS]
+        f"exit {int(name in tool.REFUSED)}  {name}: exit code"
+        for name, _ in tool.COMMANDS]
     listed = {line.split("  ")[1] for line in serial}
     assert {"bench/runs.jsonl", "switch-analysis/switch_runs.jsonl",
             "switch-plans/switch_runs.jsonl", "switch-point/switch_runs.jsonl",

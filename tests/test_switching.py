@@ -51,6 +51,13 @@ def test_plan_snaps_phi_to_grid_before_validating():
         SwitchPlan(a1=BFGS, a2=CMAES, tau=1.05e-8, phi=1e-8)
 
 
+@pytest.mark.parametrize("tau, phi", [(1e6, 1e-8), (1e-2, 1e-12)])
+def test_plan_refuses_a_target_beyond_the_grid(tau, phi):
+    # a tau of 1e6 used to run as BFGS>CMA-ES@100
+    with pytest.raises(ValueError, match="beyond the target grid"):
+        SwitchPlan(a1=BFGS, a2=CMAES, tau=tau, phi=phi)
+
+
 def test_plan_label():
     plan = SwitchPlan(a1=BFGS, a2=CMAES, tau=1e-4)
     assert plan.label() == "BFGS>CMA-ES@0.0001"

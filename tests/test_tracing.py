@@ -42,6 +42,18 @@ def test_grid_snap():
         DEFAULT_GRID.snap_exponent(0.0)
 
 
+def test_grid_snaps_within_half_a_step_of_its_ends_and_refuses_beyond():
+    # beyond the grid a precision used to become its end: 1e-12 ran to 1e-8
+    assert DEFAULT_GRID.snap_exponent(10 ** -8.1) == -8.0
+    assert DEFAULT_GRID.snap_exponent(10 ** 2.1) == 2.0
+    for value in (10 ** -8.11, 1e-12, 10 ** 2.11, 1e6):
+        with pytest.raises(ValueError) as refused:
+            DEFAULT_GRID.snap_exponent(value)
+        assert str(refused.value) == (
+            f"precision {value} is more than half a step beyond the target "
+            f"grid 1e-08 to 100")
+
+
 def test_first_call_crosses_all_targets_above_precision():
     precisions = [0.5]
     ev = precision_feeder(precisions, budget=10)

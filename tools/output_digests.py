@@ -6,11 +6,12 @@ Runs bench, analyze, switch (the bench's dynamic virtual best, explicit
 plans, point_only mode without early switches, point_only mode on the model
 transfers and on plans into CMA-ES and MLSL, plans into each algorithm
 with settings for all five from a ``--config``) and sweep-tau on small
-inputs, each in a new process with ``--src`` first on its import path,
-inside a temporary directory, with relative ``--out`` and ``--config``
-paths so that manifests compare equal.
+inputs, and two bench commands whose ``--config`` names a starting state,
+which bench refuses.  Each runs in a new process with ``--src`` first on
+its import path, inside a temporary directory, with relative ``--out`` and
+``--config`` paths so that manifests compare equal.
 Prints one ``sha256  path`` line per file, the outputs and the ``--config``
-file, sorted by path, then a line each for every command's stdout and
+files, sorted by path, then a line each for every command's stdout and
 stderr digests and exit code.
 
 Two checkouts that write the same bytes print the same listing, and so do
@@ -40,6 +41,15 @@ SETTINGS = {
     "PSO": {"swarm_size": 20},
     "MLSL": {"population_size": 30, "local_budget_fraction": 0.05},
 }
+# --config files by name: CONFIG, and two starting states, which no
+# --config sets
+CONFIGS = {
+    CONFIG: SETTINGS,
+    "samples.json": {"MLSL": {"samples": 1}},
+    "covariance.json": {"CMA-ES": {"C": 1}},
+}
+# the commands, by name, that exit 1 refusing their input
+REFUSED = ("refused-samples", "refused-covariance")
 # (name, arguments): a name is also the command's --out directory
 COMMANDS = [
     ("bench", ["bench", "--algorithms", "BFGS,MLSL,PSO,CMA-ES,DE",
@@ -65,6 +75,12 @@ COMMANDS = [
                        CONFIG, *SMALL]),
     ("sweep", ["sweep-tau", "--a1", "CMA-ES", "--a2", "BFGS", "--function",
                "10", "--dim", "2", "--tau-exponents", "1,0,-2", *SMALL]),
+    ("refused-samples", ["bench", "--algorithms", "MLSL", "--functions",
+                         "1", "--dims", "2", "--config", "samples.json",
+                         *SMALL]),
+    ("refused-covariance", ["bench", "--algorithms", "CMA-ES", "--functions",
+                            "1", "--dims", "2", "--config",
+                            "covariance.json", *SMALL]),
 ]
 
 
@@ -85,7 +101,8 @@ def listing(src: Path, jobs: int) -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, CONFIG).write_text(json.dumps(SETTINGS))
+        for config, settings in CONFIGS.items():
+            Path(tmp, config).write_text(json.dumps(settings))
         for name, argv in COMMANDS:
             if argv[0] != "analyze":
                 argv = [*argv, "--jobs", str(jobs)]
